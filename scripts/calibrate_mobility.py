@@ -10,8 +10,9 @@ import argparse
 import statistics
 import sys
 
+from pitchsim.engine import simulate_mobility
 from pitchsim.geometry import FieldConfig
-from pitchsim.mobility import MobilityParams, simulate_mobility
+from pitchsim.mobility import MobilityParams
 
 
 def main(argv=None):

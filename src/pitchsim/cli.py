@@ -130,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"pitchsim: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:
+        print(f"pitchsim: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Round-based simulation loop and the sink-side aggregation unit.
+"""Round-based simulation loop, and the movement-only run built on it.
 
 Each round (one second of match time) runs, in order: group reference
 and player movement, lactate update, fatigue check, packet triggering,
@@ -14,20 +14,26 @@ The human keeps playing when the node battery dies: movement and
 physiology advance for every player each round, so trajectories depend
 only on (seed, mobility parameters) and never on the protocol. Dead
 nodes stop sensing, transmitting, relaying, and receiving.
+
+``move_players`` is the one movement loop: ``MatchSim`` runs it every
+round, and ``simulate_mobility`` runs it alone for calibration and
+tests, on the same RNG streams, so both give the same trajectories.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import random
 from dataclasses import dataclass, field
 
 from .channel import propagation_delay, transmit_hop
 from .energy import Battery, direct_tx_energy, relay_rx_energy
-from .mobility import (GroupReference, PlayerKinematics, make_players,
-                       schedule_mode, step_group_reference, step_player)
+from .geometry import FieldConfig
+from .mobility import (GroupReference, MobilityParams, PlayerKinematics,
+                       SpeedMode, make_players, schedule_mode,
+                       step_group_reference, step_player)
 from .physiology import FatigueEvent, FatigueMonitor, step_lactate
-from .protocol import (Packet, Route, TriggerKind, thefame_route,
+from .protocol import (THEFAME, Packet, Route, thefame_route,
                        trigger_transmissions, wstm_route)
 from .scenario import Scenario
 from .seeding import stream
@@ -122,7 +128,6 @@ class MatchSim:
                  record_lactate: bool = False):
         self.scenario = scenario
         self.field = scenario.build_field()
-        self.protocol = scenario.protocol_config()
         self.radio = scenario.radio
         self.channel = scenario.channel
         self.mobility = scenario.mobility
@@ -140,8 +145,9 @@ class MatchSim:
             initial_energy_j=scenario.initial_energy_j,
             debits={n.kin.player_id: [] for n in self.nodes},
         )
+        self.kins = [n.kin for n in self.nodes]
         self.events: list[FatigueEvent] = []
-        self.per_sink: dict[int, list[Delivery]] = {sid: [] for sid, _ in self.field.sinks}
+        self.feed: list[Delivery] = []
         self._ids = itertools.count(1)
         self._round = 0
         self._record_trajectory = record_trajectory
@@ -160,13 +166,11 @@ class MatchSim:
         t = self._round
         rec = RoundRecord(round=t, alive=0)
 
-        ref = step_group_reference(self.group, self.field, self.mobility, 1.0,
-                                   self.mob_rng)
+        modes = move_players(self.group, self.kins, self.field, self.mobility,
+                             self.mob_rng, self.sched_rng)
         events_now: list[FatigueEvent] = []
-        for node in self.nodes:
+        for node, mode in zip(self.nodes, modes):
             kin = node.kin
-            mode = schedule_mode(kin, self.mobility, 1.0, self.sched_rng)
-            step_player(kin, ref, self.field, self.mobility, 1.0, self.mob_rng)
             node.lactate = step_lactate(node.lactate, kin.speed_kmh,
                                         self.lactate_params, 1.0)
             if self._record_trajectory:
@@ -181,8 +185,9 @@ class MatchSim:
                     self.events.append(ev)
 
         alive_kins = [n.kin for n in self.nodes if not n.battery.dead]
-        packets = trigger_transmissions(self.protocol, t, events_now, alive_kins,
-                                        self.radio.packet_bits, self._ids)
+        packets = trigger_transmissions(self.scenario.protocol,
+                                        self.scenario.wstm_period_s, t, events_now,
+                                        alive_kins, self.radio.packet_bits, self._ids)
         rec.triggered = len(packets)
         for packet in packets:
             route = self._route(packet)
@@ -201,10 +206,10 @@ class MatchSim:
         if origin.battery.dead:
             # node died relaying earlier traffic this round
             return None
-        if self.protocol.trigger is TriggerKind.THRESHOLD:
+        if self.scenario.protocol == THEFAME:
             return thefame_route(origin.kin, self.field)
         alive = [n.kin for n in self.nodes if not n.battery.dead]
-        return wstm_route(origin.kin, alive, self.field, self.protocol.max_hops)
+        return wstm_route(origin.kin, alive, self.field, self.scenario.max_hops)
 
     def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
         outcome = _FAILED
@@ -231,7 +236,7 @@ class MatchSim:
                 # the dead-sender check above ends the route next hop
             else:
                 delay = propagation_delay(self.channel, route, packet.size_bits)
-                self.per_sink[hop.dst_sink].append(Delivery(
+                self.feed.append(Delivery(
                     time=packet.created_at + delay, packet_id=packet.packet_id,
                     sink_id=hop.dst_sink, origin=packet.origin,
                     round=rec.round, delay=delay))
@@ -263,13 +268,13 @@ class MatchSim:
                 self.metrics.rounds.append(RoundRecord(round=t, alive=0,
                                                        residual_j=0.0))
         # deliveries were appended in packet order; within a round arrival
-        # times differ by hop count, so order each sink feed by arrival
-        for deliveries in self.per_sink.values():
-            deliveries.sort(key=lambda d: (d.time, d.packet_id))
+        # times differ by hop count. Packet ids are unique, so this key is
+        # a total order over all sinks.
+        self.feed.sort(key=lambda d: (d.time, d.packet_id))
         return MatchResult(
             scenario=self.scenario,
             metrics=self.metrics,
-            feed=aggregate(self.per_sink),
+            feed=self.feed,
             events=self.events,
             early_stop_round=early_stop,
             trajectory=self.trajectory,
@@ -285,12 +290,61 @@ def run_match(scenario: Scenario, record_trajectory: bool = False,
     return sim.run()
 
 
-def aggregate(per_sink: dict[int, list[Delivery]]) -> list[Delivery]:
-    """Merge per-sink delivery streams into one feed ordered by delivery
-    time, ties by packet id. Each input list must already be time-ordered."""
-    for sid, deliveries in per_sink.items():
-        for a, b in zip(deliveries, deliveries[1:]):
-            if (a.time, a.packet_id) > (b.time, b.packet_id):
-                raise ValueError(f"sink {sid} feed is not time-ordered")
-    streams = [per_sink[sid] for sid in sorted(per_sink)]
-    return list(heapq.merge(*streams, key=lambda d: (d.time, d.packet_id)))
+def move_players(group: GroupReference, players: list[PlayerKinematics],
+                 field: FieldConfig, params: MobilityParams,
+                 mob_rng: random.Random,
+                 sched_rng: random.Random) -> list[SpeedMode]:
+    """Advance the group reference, then schedule and move every player,
+    by one second. Returns each player's mode for the step.
+
+    Only the ``mobility`` and ``scheduling`` streams are drawn from, and
+    physiology draws nothing, so a caller that runs physiology after this
+    keeps every RNG sequence of a per-player interleaving.
+    """
+    ref = step_group_reference(group, field, params, 1.0, mob_rng)
+    modes = []
+    for kin in players:
+        modes.append(schedule_mode(kin, params, 1.0, sched_rng))
+        step_player(kin, ref, field, params, 1.0, mob_rng)
+    return modes
+
+
+@dataclass(frozen=True)
+class SprintEpisode:
+    player_id: int
+    start: int          # round of the first sprinting second
+    duration: int       # seconds spent sprinting
+    truncated: bool = False   # cut off by the end of the run
+
+
+@dataclass
+class MobilityRun:
+    players: list[PlayerKinematics]
+    sprints: list[SprintEpisode]
+
+
+def simulate_mobility(params: MobilityParams, field: FieldConfig, n_players: int,
+                      rounds: int, seed: int) -> MobilityRun:
+    """Run the movement subsystem alone; used for calibration and tests.
+
+    It runs the engine's movement loop on the engine's RNG streams, so
+    trajectories agree with protocol runs at the same seed.
+    """
+    mob = stream(seed, "mobility")
+    sched = stream(seed, "scheduling")
+    players = make_players(n_players, field)
+    group = GroupReference.centered(field)
+    open_since: dict[int, int] = {}
+    sprints: list[SprintEpisode] = []
+    for t in range(1, rounds + 1):
+        modes = move_players(group, players, field, params, mob, sched)
+        for k, mode in zip(players, modes):
+            was_sprinting = k.player_id in open_since
+            if mode is SpeedMode.SPRINT and not was_sprinting:
+                open_since[k.player_id] = t
+            elif mode is not SpeedMode.SPRINT and was_sprinting:
+                start = open_since.pop(k.player_id)
+                sprints.append(SprintEpisode(k.player_id, start, t - start))
+    for pid, start in sorted(open_since.items()):
+        sprints.append(SprintEpisode(pid, start, rounds + 1 - start, truncated=True))
+    return MobilityRun(players, sprints)

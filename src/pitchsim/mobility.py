@@ -18,10 +18,9 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import FieldConfig, Point, clamp_to_field
-from .seeding import stream
 
 KMH_TO_YDS = (1000.0 / 0.9144) / 3600.0   # km/h -> yd/s
 KM_PER_YARD = 0.9144 / 1000.0
@@ -244,45 +243,3 @@ def make_players(n_players: int, field: FieldConfig) -> list[PlayerKinematics]:
         players.append(PlayerKinematics(pid, start.x, start.y, ox, oy))
     return players
 
-
-@dataclass(frozen=True)
-class SprintEpisode:
-    player_id: int
-    start: int          # round of the first sprinting second
-    duration: int       # seconds spent sprinting
-    truncated: bool = False   # cut off by the end of the run
-
-
-@dataclass
-class MobilityRun:
-    players: list[PlayerKinematics]
-    sprints: list[SprintEpisode]
-
-
-def simulate_mobility(params: MobilityParams, field: FieldConfig, n_players: int,
-                      rounds: int, seed: int) -> MobilityRun:
-    """Run the movement subsystem alone; used for calibration and tests.
-
-    The RNG streams match the full engine's, so trajectories agree with
-    protocol runs at the same seed.
-    """
-    mob = stream(seed, "mobility")
-    sched = stream(seed, "scheduling")
-    players = make_players(n_players, field)
-    group = GroupReference.centered(field)
-    open_since: dict[int, int] = {}
-    sprints: list[SprintEpisode] = []
-    for t in range(1, rounds + 1):
-        ref = step_group_reference(group, field, params, 1.0, mob)
-        for k in players:
-            was_sprinting = k.player_id in open_since
-            mode = schedule_mode(k, params, 1.0, sched)
-            step_player(k, ref, field, params, 1.0, mob)
-            if mode is SpeedMode.SPRINT and not was_sprinting:
-                open_since[k.player_id] = t
-            elif mode is not SpeedMode.SPRINT and was_sprinting:
-                start = open_since.pop(k.player_id)
-                sprints.append(SprintEpisode(k.player_id, start, t - start))
-    for pid, start in sorted(open_since.items()):
-        sprints.append(SprintEpisode(pid, start, rounds + 1 - start, truncated=True))
-    return MobilityRun(players, sprints)

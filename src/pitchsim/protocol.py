@@ -1,66 +1,29 @@
-"""The two routing strategies behind one interface.
+"""The two protocols: their triggers and their routing rules.
 
 THE-FAME sends each fatigue event in a single hop to the sender's
-nearest sink. WSTM emits a status packet per alive player every ten
-seconds and forwards it greedily: a holder hands the packet straight to
-its nearest sink when that sink is nearer than every other alive
-player, otherwise to the alive player closest to that sink among those
-strictly closer to it than the holder (ties to the lowest player id).
-A packet with no strictly-closer relay, or one that runs out of hops,
-fails with no route.
+nearest sink. WSTM emits a status packet per alive player every
+``wstm.period_s`` seconds (ten by default) and forwards it greedily: a
+holder hands the packet straight to its nearest sink when that sink is
+nearer than every other alive player, otherwise to the alive player
+closest to that sink among those strictly closer to it than the holder
+(ties to the lowest player id). A packet with no strictly-closer relay,
+or one that runs out of hops, fails with no route.
+
+The protocol name (``Scenario.protocol``) is the whole protocol
+identity: it fixes the trigger, the sink preset and the routing rule.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import EmptySinkSetError, FieldConfig, Point, distance, nearest_sink
+from .geometry import EmptySinkSetError, FieldConfig, distance, nearest_sink
 from .mobility import PlayerKinematics
 from .physiology import FatigueEvent
 
 THEFAME = "thefame"
 WSTM = "wstm"
-
-
-class TriggerKind(enum.Enum):
-    THRESHOLD = "threshold"
-    PERIODIC = "periodic"
-
-
-class PacketKind(enum.Enum):
-    FATIGUE_EVENT = "fatigue"
-    PERIODIC = "periodic"
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    name: str
-    trigger: TriggerKind
-    period_s: int = 10
-    max_hops: int = 10
-    frequency_label: str = ""    # carried as metadata only
-
-    def __post_init__(self):
-        if self.name not in (THEFAME, WSTM):
-            raise ValueError(f"unknown protocol {self.name!r}")
-        if self.name == THEFAME and self.trigger is not TriggerKind.THRESHOLD:
-            raise ValueError("thefame requires the threshold trigger")
-        if self.name == WSTM and self.trigger is not TriggerKind.PERIODIC:
-            raise ValueError("wstm requires the periodic trigger")
-        if self.period_s <= 0 or self.max_hops < 1:
-            raise ValueError("period_s and max_hops must be positive")
-
-
-def thefame_config(max_hops: int = 10) -> ProtocolConfig:
-    return ProtocolConfig(THEFAME, TriggerKind.THRESHOLD, max_hops=max_hops,
-                          frequency_label="13.56 MHz")
-
-
-def wstm_config(period_s: int = 10, max_hops: int = 10) -> ProtocolConfig:
-    return ProtocolConfig(WSTM, TriggerKind.PERIODIC, period_s=period_s,
-                          max_hops=max_hops, frequency_label="2.4 GHz")
 
 
 @dataclass(frozen=True)
@@ -69,8 +32,6 @@ class Packet:
     origin: int
     created_at: int
     size_bits: int
-    kind: PacketKind
-    payload: Optional[FatigueEvent] = None
 
 
 @dataclass(frozen=True)
@@ -148,17 +109,16 @@ def wstm_route(player: PlayerKinematics, all_players: Sequence[PlayerKinematics]
     return None
 
 
-def trigger_transmissions(cfg: ProtocolConfig, t: int,
+def trigger_transmissions(protocol: str, period_s: int, t: int,
                           fatigue_events: Iterable[FatigueEvent],
                           alive_players: Sequence[PlayerKinematics],
                           size_bits: int,
                           ids: Iterator[int]) -> list[Packet]:
-    """Packets originated this round under the configured trigger."""
-    if cfg.trigger is TriggerKind.THRESHOLD:
-        return [Packet(next(ids), ev.player_id, t, size_bits,
-                       PacketKind.FATIGUE_EVENT, ev)
+    """Packets originated this round: one per fatigue event under thefame,
+    one per alive player every ``period_s`` rounds under wstm."""
+    if protocol == THEFAME:
+        return [Packet(next(ids), ev.player_id, t, size_bits)
                 for ev in fatigue_events]
-    if t % cfg.period_s != 0:
+    if t % period_s != 0:
         return []
-    return [Packet(next(ids), k.player_id, t, size_bits, PacketKind.PERIODIC)
-            for k in alive_players]
+    return [Packet(next(ids), k.player_id, t, size_bits) for k in alive_players]

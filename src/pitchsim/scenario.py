@@ -8,14 +8,15 @@ rejected. An empty file is the default scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .channel import ChannelParams
-from .energy import FIRST_ORDER, LUMPED, RadioModel
+from .energy import RadioModel
 from .geometry import FieldConfig
 from .mobility import MAX_PLAYERS, MobilityParams
 from .physiology import FatigueThresholds, LactateParams
-from .protocol import THEFAME, WSTM, ProtocolConfig, thefame_config, wstm_config
+from .protocol import THEFAME, WSTM
 
 CORRECTED = "corrected"
 EXTENDED = "extended"
@@ -78,16 +79,20 @@ class Scenario:
         return FieldConfig.six_sinks(self.field_length, self.field_width,
                                      extended=self.sink_placement == EXTENDED)
 
-    def protocol_config(self) -> ProtocolConfig:
-        if self.protocol == WSTM:
-            return wstm_config(self.wstm_period_s, self.max_hops)
-        return thefame_config(self.max_hops)
-
     def with_protocol(self, protocol: str) -> "Scenario":
         return replace(self, protocol=protocol)
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
+
+
+def finite_float(text: str) -> float:
+    """The cast of every float key: like float(), but nan and +-inf are
+    rejected too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 # key -> (section dataclass attribute on Scenario or None for top level,
@@ -97,37 +102,37 @@ _KEYS = {
     "seed": (None, "seed", int),
     "rounds": (None, "rounds", int),
     "players": (None, "players", int),
-    "field.length": (None, "field_length", float),
-    "field.width": (None, "field_width", float),
+    "field.length": (None, "field_length", finite_float),
+    "field.width": (None, "field_width", finite_float),
     "field.sink_placement": (None, "sink_placement", str),
-    "mobility.v_run_min": ("mobility", "v_run_min", float),
-    "mobility.v_run_max": ("mobility", "v_run_max", float),
-    "mobility.v_sprint": ("mobility", "v_sprint", float),
-    "mobility.v_walk": ("mobility", "v_walk", float),
+    "mobility.v_run_min": ("mobility", "v_run_min", finite_float),
+    "mobility.v_run_max": ("mobility", "v_run_max", finite_float),
+    "mobility.v_sprint": ("mobility", "v_sprint", finite_float),
+    "mobility.v_walk": ("mobility", "v_walk", finite_float),
     "mobility.sprint_min_s": ("mobility", "sprint_min_s", int),
     "mobility.sprint_max_s": ("mobility", "sprint_max_s", int),
-    "mobility.sprints_per_match": ("mobility", "sprints_per_match", float),
-    "mobility.rest_multiple": ("mobility", "rest_multiple", float),
-    "mobility.deviation_radius": ("mobility", "deviation_radius", float),
-    "mobility.group_speed_kmh": ("mobility", "group_speed_kmh", float),
-    "mobility.run_episode_mean_s": ("mobility", "run_episode_mean_s", float),
-    "mobility.walk_episode_mean_s": ("mobility", "walk_episode_mean_s", float),
-    "lactate.base": ("lactate", "l_base", float),
-    "lactate.threshold": ("lactate", "l_threshold", float),
-    "lactate.v_aerobic": ("lactate", "v_aerobic", float),
-    "lactate.alpha": ("lactate", "alpha", float),
-    "lactate.beta": ("lactate", "beta", float),
-    "fatigue.lactate_threshold": ("thresholds", "lactate", float),
-    "fatigue.distance_km": ("thresholds", "distance_km", float),
-    "fatigue.hysteresis": ("thresholds", "hysteresis", float),
-    "radio.e_circuitry": ("radio", "e_circuitry", float),
-    "radio.e_amp": ("radio", "e_amp", float),
+    "mobility.sprints_per_match": ("mobility", "sprints_per_match", finite_float),
+    "mobility.rest_multiple": ("mobility", "rest_multiple", finite_float),
+    "mobility.deviation_radius": ("mobility", "deviation_radius", finite_float),
+    "mobility.group_speed_kmh": ("mobility", "group_speed_kmh", finite_float),
+    "mobility.run_episode_mean_s": ("mobility", "run_episode_mean_s", finite_float),
+    "mobility.walk_episode_mean_s": ("mobility", "walk_episode_mean_s", finite_float),
+    "lactate.base": ("lactate", "l_base", finite_float),
+    "lactate.threshold": ("lactate", "l_threshold", finite_float),
+    "lactate.v_aerobic": ("lactate", "v_aerobic", finite_float),
+    "lactate.alpha": ("lactate", "alpha", finite_float),
+    "lactate.beta": ("lactate", "beta", finite_float),
+    "fatigue.lactate_threshold": ("thresholds", "lactate", finite_float),
+    "fatigue.distance_km": ("thresholds", "distance_km", finite_float),
+    "fatigue.hysteresis": ("thresholds", "hysteresis", finite_float),
+    "radio.e_circuitry": ("radio", "e_circuitry", finite_float),
+    "radio.e_amp": ("radio", "e_amp", finite_float),
     "radio.packet_bits": ("radio", "packet_bits", int),
     "radio.form": ("radio", "form", str),
-    "energy.initial_j": (None, "initial_energy_j", float),
-    "drop_probability": ("channel", "drop_probability", float),
-    "data_rate": ("channel", "data_rate_bps", float),
-    "per_hop_processing": ("channel", "per_hop_processing_s", float),
+    "energy.initial_j": (None, "initial_energy_j", finite_float),
+    "drop_probability": ("channel", "drop_probability", finite_float),
+    "data_rate": ("channel", "data_rate_bps", finite_float),
+    "per_hop_processing": ("channel", "per_hop_processing_s", finite_float),
     "wstm.max_hops": (None, "max_hops", int),
     "wstm.period_s": (None, "wstm_period_s", int),
 }
@@ -172,10 +177,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         else:
             sections[section][attr] = parsed
 
-    if "form" in sections["radio"] and sections["radio"]["form"] not in (LUMPED, FIRST_ORDER):
-        raise ValidationError(
-            f"radio.form must be {LUMPED!r} or {FIRST_ORDER!r}, "
-            f"got {sections['radio']['form']!r}")
     try:
         for name, cls in _SECTION_TYPES.items():
             if sections[name]:

@@ -20,9 +20,9 @@ from pitchsim.channel import ChannelParams, transmit_hop
 from pitchsim.cli import main as cli_main
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy, \
     multihop_rx_energy, multihop_total_energy, multihop_tx_energy
-from pitchsim.engine import run_match, stability_period
+from pitchsim.engine import run_match, simulate_mobility, stability_period
 from pitchsim.geometry import FieldConfig, Point, distance
-from pitchsim.mobility import MobilityParams, simulate_mobility
+from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.report import throughput_pct
 from pitchsim.scenario import Scenario

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
-from pitchsim.cli import (EXIT_INVALID, EXIT_OK, EXIT_USAGE, _parse_seeds, main)
+from pitchsim import cli
+from pitchsim.cli import (EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
+                          _parse_seeds, main)
 
 FAST = "rounds = 200\nseed = 1\n"
 
@@ -33,6 +35,18 @@ def test_run_bad_config_exit_one(tmp_path, capsys):
     path = write(tmp_path, "players = 99\n")
     assert main(["run", "--scenario", path]) == EXIT_INVALID
     assert "players" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_runtime_with_one_line(tmp_path, monkeypatch,
+                                                      capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_match", boom)
+    assert main(["run", "--scenario", write(tmp_path, FAST),
+                 "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [
+        "pitchsim: internal error: RuntimeError: boom"]
 
 
 def test_unknown_flag_exits_usage(capsys):

@@ -1,10 +1,7 @@
-import pytest
-
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
-from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog,
-                             RoundRecord, aggregate, run_match,
-                             stability_period)
+from pitchsim.engine import (NO_DEATH, MatchSim, MetricsLog, run_match,
+                             simulate_mobility, stability_period)
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario
 
@@ -146,46 +143,28 @@ def test_early_stop_pads_all_dead_rows():
     assert all(rec.alive == 0 and rec.residual_j == 0.0 for rec in tail)
 
 
-def d(time, pid):
-    return Delivery(time=time, packet_id=pid, sink_id=1, origin=0, round=1,
-                    delay=0.0)
-
-
-def test_aggregate_single_sink_identity():
-    feed = [d(1.0, 1), d(2.0, 2)]
-    assert aggregate({1: feed}) == feed
-
-
-def test_aggregate_interleaves_sorted_streams():
-    a = [d(1.0, 1), d(3.0, 3)]
-    b = [d(2.0, 2), d(4.0, 4)]
-    merged = aggregate({1: a, 2: b})
-    assert [x.packet_id for x in merged] == [1, 2, 3, 4]
-
-
-def test_aggregate_ties_by_packet_id():
-    a = [d(1.0, 7)]
-    b = [d(1.0, 2)]
-    merged = aggregate({1: a, 2: b})
-    assert [x.packet_id for x in merged] == [2, 7]
-
-
-def test_aggregate_conserves_length():
-    a = [d(float(i), i) for i in range(5)]
-    b = [d(float(i) + 0.5, 100 + i) for i in range(7)]
-    assert len(aggregate({1: a, 2: b})) == 12
-
-
-def test_aggregate_rejects_unsorted_input():
-    with pytest.raises(ValueError):
-        aggregate({1: [d(2.0, 1), d(1.0, 2)]})
-
-
 def test_feed_is_time_ordered_in_real_runs():
-    feed = run_match(small("wstm", rounds=400, initial_energy_j=5.0)).feed
-    assert feed
+    result = run_match(small("wstm", rounds=400, initial_energy_j=5.0))
+    feed = result.feed
+    # one feed over every sink, one entry per delivered packet
+    assert {x.sink_id for x in feed} == {1, 2}
+    assert len(feed) == result.metrics.total("received")
+    assert len({x.packet_id for x in feed}) == len(feed)
     keys = [(x.time, x.packet_id) for x in feed]
     assert keys == sorted(keys)
+
+
+def test_simulate_mobility_ends_where_the_match_does():
+    scenario = small("wstm", rounds=300, initial_energy_j=1000.0)
+    sim = MatchSim(scenario, record_trajectory=True)
+    result = sim.run()
+    assert not result.metrics.deaths
+    last = {pid: (x, y) for t, pid, x, y, _ in result.trajectory
+            if t == scenario.rounds}
+    match_end = [(*last[n.kin.player_id], n.kin.cumulative_km) for n in sim.nodes]
+    alone = simulate_mobility(scenario.mobility, sim.field, scenario.players,
+                              scenario.rounds, scenario.seed)
+    assert [(k.x, k.y, k.cumulative_km) for k in alone.players] == match_end
 
 
 def test_dead_nodes_never_route_or_transmit():

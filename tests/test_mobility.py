@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from pitchsim.engine import simulate_mobility
 from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, GroupReference,
                                MobilityParams, PlayerKinematics, SpeedMode,
                                formation_offsets, make_players, schedule_mode,
-                               simulate_mobility, step_group_reference,
-                               step_player)
+                               step_group_reference, step_player)
 
 FIELD = FieldConfig.six_sinks()
 PARAMS = MobilityParams()

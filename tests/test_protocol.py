@@ -7,9 +7,8 @@ import pytest
 from pitchsim.geometry import FieldConfig, Point, distance
 from pitchsim.mobility import PlayerKinematics
 from pitchsim.physiology import FatigueCause, FatigueEvent
-from pitchsim.protocol import (Hop, PacketKind, ProtocolConfig, Route,
-                               TriggerKind, thefame_config, thefame_route,
-                               trigger_transmissions, wstm_config, wstm_route)
+from pitchsim.protocol import (THEFAME, WSTM, Hop, Route, thefame_route,
+                               trigger_transmissions, wstm_route)
 
 SIX = FieldConfig.six_sinks()
 TWO = FieldConfig.goal_sinks()
@@ -17,23 +16,6 @@ TWO = FieldConfig.goal_sinks()
 
 def player(pid, x, y):
     return PlayerKinematics(pid, float(x), float(y), 0.0, 0.0)
-
-
-def test_config_presets():
-    fame = thefame_config()
-    assert fame.trigger is TriggerKind.THRESHOLD
-    assert fame.frequency_label == "13.56 MHz"
-    wstm = wstm_config()
-    assert wstm.trigger is TriggerKind.PERIODIC
-    assert wstm.period_s == 10
-    assert wstm.frequency_label == "2.4 GHz"
-
-
-def test_config_rejects_mismatched_trigger():
-    with pytest.raises(ValueError):
-        ProtocolConfig("thefame", TriggerKind.PERIODIC)
-    with pytest.raises(ValueError):
-        ProtocolConfig("wstm", TriggerKind.THRESHOLD)
 
 
 def test_route_validation():
@@ -205,34 +187,31 @@ def make_ids():
 
 
 def test_threshold_trigger_no_events_no_packets():
-    assert trigger_transmissions(thefame_config(), 50, [], [player(0, 1, 1)],
+    assert trigger_transmissions(THEFAME, 10, 50, [], [player(0, 1, 1)],
                                  1024, make_ids()) == []
 
 
 def test_threshold_trigger_one_packet_per_event():
     events = [FatigueEvent(0, 50.0, FatigueCause.LACTATE, 2.3),
               FatigueEvent(4, 50.0, FatigueCause.DISTANCE, 11.0)]
-    pkts = trigger_transmissions(thefame_config(), 50, events, [], 1024, make_ids())
+    pkts = trigger_transmissions(THEFAME, 10, 50, events, [], 1024, make_ids())
     assert [p.origin for p in pkts] == [0, 4]
-    assert all(p.kind is PacketKind.FATIGUE_EVENT for p in pkts)
-    assert pkts[0].payload is events[0]
     assert len({p.packet_id for p in pkts}) == 2
 
 
 def test_periodic_trigger_on_period():
     alive = [player(i, i, i) for i in range(22)]
-    pkts = trigger_transmissions(wstm_config(), 30, [], alive, 1024, make_ids())
+    pkts = trigger_transmissions(WSTM, 10, 30, [], alive, 1024, make_ids())
     assert len(pkts) == 22
-    assert all(p.kind is PacketKind.PERIODIC for p in pkts)
     assert sorted(p.origin for p in pkts) == list(range(22))
 
 
 def test_periodic_trigger_off_period():
     alive = [player(i, i, i) for i in range(22)]
-    assert trigger_transmissions(wstm_config(), 31, [], alive, 1024, make_ids()) == []
+    assert trigger_transmissions(WSTM, 10, 31, [], alive, 1024, make_ids()) == []
 
 
 def test_periodic_trigger_counts_only_alive():
     alive = [player(i, i, i) for i in range(5)]
-    pkts = trigger_transmissions(wstm_config(), 10, [], alive, 1024, make_ids())
+    pkts = trigger_transmissions(WSTM, 10, 10, [], alive, 1024, make_ids())
     assert len(pkts) == 5

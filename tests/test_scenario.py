@@ -1,5 +1,6 @@
 import pytest
 
+from pitchsim.cli import EXIT_INVALID, main
 from pitchsim.geometry import Point
 from pitchsim.scenario import (ParseError, Scenario, ValidationError,
                                parse_scenario, parse_scenario_text,
@@ -27,9 +28,7 @@ def test_wstm_selects_goal_sink_preset_and_periodic_trigger():
     assert [sid for sid, _ in field.sinks] == [1, 2]
     assert dict(field.sinks)[1] == Point(0.0, 34.0)
     assert dict(field.sinks)[2] == Point(106.0, 34.0)
-    cfg = s.protocol_config()
-    assert cfg.trigger.value == "periodic"
-    assert cfg.period_s == 10
+    assert s.wstm_period_s == 10
 
 
 def test_out_of_range_drop_probability():
@@ -90,6 +89,22 @@ def test_extended_sink_placement():
 def test_invalid_sink_placement():
     with pytest.raises(ValidationError):
         parse_scenario_text("field.sink_placement = diagonal\n")
+
+
+@pytest.mark.parametrize("line", ["lactate.alpha = nan", "radio.e_amp = nan",
+                                  "energy.initial_j = inf", "field.length = nan",
+                                  "drop_probability = -inf"])
+def test_non_finite_float_rejected(line, tmp_path, capsys):
+    key = line.split(" = ")[0]
+    text = f"seed = 1\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text(text, source="case.cfg")
+    assert "case.cfg:2" in str(err.value) and key in str(err.value)
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1 and f"{path}:2" in stderr[0] and key in stderr[0]
 
 
 def test_invalid_radio_form():
