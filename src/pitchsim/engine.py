@@ -1,4 +1,5 @@
-"""Round-based simulation loop, and the movement-only run built on it.
+"""Round-based simulation loop, the sink-side aggregation unit, and the
+movement-only run built on the loop.
 
 Each round (one second of match time) runs, in order: group reference
 and player movement, lactate update, fatigue check, packet triggering,
@@ -267,14 +268,10 @@ class MatchSim:
             for t in range(early_stop + 1, self.scenario.rounds + 1):
                 self.metrics.rounds.append(RoundRecord(round=t, alive=0,
                                                        residual_j=0.0))
-        # deliveries were appended in packet order; within a round arrival
-        # times differ by hop count. Packet ids are unique, so this key is
-        # a total order over all sinks.
-        self.feed.sort(key=lambda d: (d.time, d.packet_id))
         return MatchResult(
             scenario=self.scenario,
             metrics=self.metrics,
-            feed=self.feed,
+            feed=aggregate(self.feed),
             events=self.events,
             early_stop_round=early_stop,
             trajectory=self.trajectory,
@@ -288,6 +285,16 @@ def run_match(scenario: Scenario, record_trajectory: bool = False,
     sim = MatchSim(scenario, record_trajectory=record_trajectory,
                    record_lactate=record_lactate)
     return sim.run()
+
+
+def aggregate(deliveries: list[Delivery]) -> list[Delivery]:
+    """The sink-side aggregation unit: one feed over every sink, ordered
+    by delivery time, ties by packet id.
+
+    Deliveries arrive in packet order; within a round arrival times differ
+    by hop count. Packet ids are unique, so the key is a total order.
+    """
+    return sorted(deliveries, key=lambda d: (d.time, d.packet_id))
 
 
 def move_players(group: GroupReference, players: list[PlayerKinematics],

@@ -1,7 +1,8 @@
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
-from pitchsim.engine import (NO_DEATH, MatchSim, MetricsLog, run_match,
-                             simulate_mobility, stability_period)
+from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog,
+                             aggregate, run_match, simulate_mobility,
+                             stability_period)
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario
 
@@ -141,6 +142,36 @@ def test_early_stop_pads_all_dead_rows():
     assert len(result.metrics.rounds) == 2000
     tail = result.metrics.rounds[result.early_stop_round:]
     assert all(rec.alive == 0 and rec.residual_j == 0.0 for rec in tail)
+
+
+def d(time, pid, sink=1):
+    return Delivery(time=time, packet_id=pid, sink_id=sink, origin=0, round=1,
+                    delay=0.0)
+
+
+def test_aggregate_single_sink_identity():
+    feed = [d(1.0, 1), d(2.0, 2)]
+    assert aggregate(feed) == feed
+
+
+def test_aggregate_interleaves_sorted_streams():
+    a = [d(1.0, 1), d(3.0, 3)]
+    b = [d(2.0, 2, sink=2), d(4.0, 4, sink=2)]
+    merged = aggregate(a + b)
+    assert [x.packet_id for x in merged] == [1, 2, 3, 4]
+
+
+def test_aggregate_ties_by_packet_id():
+    a = [d(1.0, 7)]
+    b = [d(1.0, 2, sink=2)]
+    merged = aggregate(a + b)
+    assert [x.packet_id for x in merged] == [2, 7]
+
+
+def test_aggregate_conserves_length():
+    a = [d(float(i), i) for i in range(5)]
+    b = [d(float(i) + 0.5, 100 + i, sink=2) for i in range(7)]
+    assert len(aggregate(a + b)) == 12
 
 
 def test_feed_is_time_ordered_in_real_runs():
