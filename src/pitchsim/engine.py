@@ -16,6 +16,12 @@ physiology advance for every player each round, so trajectories depend
 only on (seed, mobility parameters) and never on the protocol. Dead
 nodes stop sensing, transmitting, relaying, and receiving.
 
+``MatchSim.alive`` holds the alive players' kinematics in player-id
+order. It starts with every player and loses a player inside the debit
+that kills its node, so a node that dies mid-round is out of every
+later route of that round. The trigger, the wstm router and
+``alive_count`` read this list instead of rescanning the batteries.
+
 ``move_players`` is the one movement loop: ``MatchSim`` runs it every
 round, and ``simulate_mobility`` runs it alone for calibration and
 tests, on the same RNG streams, so both give the same trajectories.
@@ -147,6 +153,9 @@ class MatchSim:
             debits={n.kin.player_id: [] for n in self.nodes},
         )
         self.kins = [n.kin for n in self.nodes]
+        # kinematics of the alive players in player-id order; _debit drops a
+        # node the moment a debit kills it
+        self.alive = list(self.kins)
         self.events: list[FatigueEvent] = []
         self.feed: list[Delivery] = []
         self._ids = itertools.count(1)
@@ -157,7 +166,7 @@ class MatchSim:
         self.lactate_trace: list[tuple[int, int, float]] = []
 
     def alive_count(self) -> int:
-        return sum(1 for n in self.nodes if not n.battery.dead)
+        return len(self.alive)
 
     def residual_total(self) -> float:
         return sum(n.battery.residual for n in self.nodes)
@@ -185,10 +194,9 @@ class MatchSim:
                     events_now.append(ev)
                     self.events.append(ev)
 
-        alive_kins = [n.kin for n in self.nodes if not n.battery.dead]
         packets = trigger_transmissions(self.scenario.protocol,
                                         self.scenario.wstm_period_s, t, events_now,
-                                        alive_kins, self.radio.packet_bits, self._ids)
+                                        self.alive, self.radio.packet_bits, self._ids)
         rec.triggered = len(packets)
         for packet in packets:
             route = self._route(packet)
@@ -209,8 +217,7 @@ class MatchSim:
             return None
         if self.scenario.protocol == THEFAME:
             return thefame_route(origin.kin, self.field)
-        alive = [n.kin for n in self.nodes if not n.battery.dead]
-        return wstm_route(origin.kin, alive, self.field, self.scenario.max_hops)
+        return wstm_route(origin.kin, self.alive, self.field, self.scenario.max_hops)
 
     def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
         outcome = _FAILED
@@ -255,6 +262,7 @@ class MatchSim:
         self.metrics.debits[node.kin.player_id].append(applied)
         if node.battery.dead and not was_dead:
             self.metrics.deaths.append((node.kin.player_id, t))
+            self.alive.remove(node.kin)
 
     def run(self) -> MatchResult:
         early_stop = None

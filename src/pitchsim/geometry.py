@@ -82,14 +82,25 @@ class FieldConfig:
 
 def nearest_sink(p: Point, field: FieldConfig) -> tuple[int, float]:
     """Return (sink_id, distance) of the closest sink; ties go to the lowest id."""
+    sid, d, _ = nearest_sink_xy(p.x, p.y, field)
+    return sid, d
+
+
+def nearest_sink_xy(x: float, y: float,
+                    field: FieldConfig) -> tuple[int, float, Point]:
+    """``nearest_sink`` on raw coordinates, also returning the sink's position.
+
+    The distance is ``distance(Point(x, y), pos)`` bit for bit, without
+    building the Point.
+    """
     if not field.sinks:
         raise EmptySinkSetError("field has no sinks")
-    best_id, best_d = None, math.inf
+    best_id, best_d, best_pos = None, math.inf, None
     for sid, pos in field.sinks:
-        d = distance(p, pos)
+        d = math.hypot(x - pos.x, y - pos.y)
         if d < best_d or (d == best_d and sid < best_id):
-            best_id, best_d = sid, d
-    return best_id, best_d
+            best_id, best_d, best_pos = sid, d, pos
+    return best_id, best_d, best_pos
 
 
 def clamp_to_field(p: Point, field: FieldConfig) -> Point:

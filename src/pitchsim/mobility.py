@@ -67,6 +67,10 @@ class MobilityParams:
         if self.sprints_per_match > 0 and self._eligible_seconds() <= 0:
             raise ValueError("sprints_per_match does not fit in match_seconds "
                              "with the given durations and rest_multiple")
+        # the scheduler reads the hazard every player-second; compute it once
+        hazard = (0.0 if self.sprints_per_match <= 0
+                  else self.sprints_per_match / self._eligible_seconds())
+        object.__setattr__(self, "_sprint_hazard", hazard)
 
     def _eligible_seconds(self) -> float:
         mean_sprint = (self.sprint_min_s + self.sprint_max_s) / 2.0
@@ -75,9 +79,7 @@ class MobilityParams:
 
     def sprint_hazard(self) -> float:
         """Per-second sprint onset probability outside sprints and recoveries."""
-        if self.sprints_per_match <= 0:
-            return 0.0
-        return self.sprints_per_match / self._eligible_seconds()
+        return self._sprint_hazard
 
 
 @dataclass(slots=True)

@@ -16,9 +16,11 @@ identity: it fixes the trigger, the sink preset and the routing rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import EmptySinkSetError, FieldConfig, distance, nearest_sink
+from .geometry import (EmptySinkSetError, FieldConfig, nearest_sink,
+                       nearest_sink_xy)
 from .mobility import PlayerKinematics
 from .physiology import FatigueEvent
 
@@ -81,30 +83,37 @@ def wstm_route(player: PlayerKinematics, all_players: Sequence[PlayerKinematics]
     ``all_players`` must contain only alive players (the origin included);
     dead nodes never appear in routes. Returns None when the greedy rule
     dead-ends or the hop budget runs out.
+
+    It reads raw coordinates and builds no ``Point``; every distance it
+    compares or puts in a ``Hop`` equals ``geometry.distance`` (and the
+    sink choice ``nearest_sink``) bit for bit.
     """
     if not field.sinks:
         raise EmptySinkSetError("field has no sinks")
     holder = player
     hops: list[Hop] = []
     while len(hops) < max_hops:
-        hpos = holder.position
-        sid, d_sink = nearest_sink(hpos, field)
-        others = [q for q in all_players if q.player_id != holder.player_id]
-        if all(distance(hpos, q.position) >= d_sink for q in others):
-            hops.append(Hop(holder.player_id, None, sid, d_sink))
+        hid, hx, hy = holder.player_id, holder.x, holder.y
+        sid, d_sink, sink = nearest_sink_xy(hx, hy, field)
+        sx, sy = sink.x, sink.y
+        direct = True
+        best, best_d, best_id = None, d_sink, -1
+        for q in all_players:
+            qid = q.player_id
+            if qid == hid:
+                continue
+            qx, qy = q.x, q.y
+            if direct and hypot(hx - qx, hy - qy) < d_sink:
+                direct = False
+            dq = hypot(qx - sx, qy - sy)
+            if dq < best_d or (dq == best_d and qid < best_id):
+                best, best_d, best_id = q, dq, qid
+        if direct:
+            hops.append(Hop(hid, None, sid, d_sink))
             return Route(tuple(hops))
-        sink_pos = dict(field.sinks)[sid]
-        best = None
-        best_key = (d_sink, -1)
-        for q in others:
-            dq = distance(q.position, sink_pos)
-            key = (dq, q.player_id)
-            if dq < d_sink and (best is None or key < best_key):
-                best, best_key = q, key
         if best is None:
             return None
-        hops.append(Hop(holder.player_id, best.player_id, None,
-                        distance(hpos, best.position)))
+        hops.append(Hop(hid, best_id, None, hypot(hx - best.x, hy - best.y)))
         holder = best
     return None
 

@@ -209,3 +209,20 @@ def test_dead_nodes_never_route_or_transmit():
         for amount in debits:
             assert not b.dead, f"node {pid} was debited after dying"
             b.debit(amount)
+
+
+def test_alive_list_equals_a_fresh_recount_every_round():
+    # default wstm, seed 0: first death at round 10, last at round 180
+    sim = MatchSim(Scenario(protocol="wstm"))
+    died_in = set()
+    for _ in range(200):
+        before = len(sim.metrics.deaths)
+        rec = sim.run_round()
+        if len(sim.metrics.deaths) > before:
+            died_in.add(rec.round)
+        recount = [n.kin for n in sim.nodes if not n.battery.dead]
+        assert sim.alive_count() == len(recount)
+        assert len(sim.alive) == len(recount)
+        assert all(a is b for a, b in zip(sim.alive, recount))
+    assert min(died_in) == 10
+    assert sim.alive == []

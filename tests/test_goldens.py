@@ -46,3 +46,20 @@ def test_seed_zero_reports_match_golden(name, tmp_path):
     digest, size = bench.tree_digest(out_dir)
     assert size > 0
     assert digest == bench.load_goldens()[name]["0"]
+
+
+# Recorded on the engine before the maintained alive list. With the default
+# 0.025 J battery wstm loses all 22 nodes on both seeds (the first at rounds
+# 10 and 30) and thefame loses a few late, so this pins the mid-round-death
+# path that none of the 1000 J benchmark goldens reach.
+DEATH_RUN_DIGEST = "9cee5d79879f63497c529533eec51187a33eb8f04bb56a993f7ab28351bd68ee"
+
+
+def test_default_compare_with_node_deaths_matches_golden(tmp_path):
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "default.cfg"
+    code = MODULES["cli"].main(["compare", "--scenario", str(scenario),
+                                "--seeds", "0..1", "--out", str(tmp_path)])
+    assert code == 0
+    digest, size = bench.tree_digest(tmp_path)
+    assert size > 0
+    assert digest == DEATH_RUN_DIGEST

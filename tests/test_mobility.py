@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -95,6 +96,15 @@ def test_zero_sprint_rate_never_sprints():
     k = kin()
     for _ in range(5000):
         assert schedule_mode(k, params, 1.0, rng) is not SpeedMode.SPRINT
+
+
+def test_sprint_hazard_follows_the_params_it_was_built_from():
+    # 100 sprints of 3.5 s mean, each with 2x recovery, leave 4350 s
+    assert PARAMS.sprint_hazard() == 100.0 / (5400.0 - 100.0 * 3.5 * 3.0)
+    assert MobilityParams(sprints_per_match=0.0).sprint_hazard() == 0.0
+    fewer = dataclasses.replace(PARAMS, sprints_per_match=50.0)
+    assert fewer.sprint_hazard() == 50.0 / (5400.0 - 50.0 * 3.5 * 3.0)
+    assert fewer == MobilityParams(sprints_per_match=50.0)
 
 
 def test_sprint_durations_and_recovery():

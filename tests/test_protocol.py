@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitchsim.geometry import FieldConfig, Point, distance
+from pitchsim.geometry import FieldConfig, Point, distance, nearest_sink
 from pitchsim.mobility import PlayerKinematics
 from pitchsim.physiology import FatigueCause, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, Route, thefame_route,
@@ -180,6 +180,44 @@ def test_wstm_matches_bruteforce_oracle_on_random_snapshots():
             got_path = [("player", h.dst_player) if h.dst_player is not None
                         else ("sink", h.dst_sink) for h in got.hops]
             assert got_path == want
+
+
+def _assert_hops_use_geometry(route, players, field):
+    pos = {p.player_id: Point(p.x, p.y) for p in players}
+    for hop in route.hops:
+        if hop.dst_player is not None:
+            assert hop.dist == distance(pos[hop.src], pos[hop.dst_player])
+        else:
+            assert (hop.dst_sink, hop.dist) == nearest_sink(pos[hop.src], field)
+
+
+def test_wstm_hop_distances_are_bitwise_those_of_geometry():
+    rng = random.Random(2024)
+    routes = 0
+    for i in range(600):
+        field = (SIX, TWO)[i % 2]
+        # every other snapshot sits on the integer grid, where equal
+        # distances to two sinks or two relays actually occur
+        coord = rng.randint if i % 4 < 2 else rng.uniform
+        n = rng.randint(1, 8)
+        players = [player(j, coord(0, 106), coord(0, 68)) for j in range(n)]
+        r = wstm_route(players[rng.randrange(n)], players, field, max_hops=10)
+        if r is not None:
+            routes += 1
+            _assert_hops_use_geometry(r, players, field)
+    assert routes > 100
+
+
+def test_wstm_equidistant_sinks_go_to_the_lower_id():
+    midfield = player(0, 53, 20)
+    r = wstm_route(midfield, [midfield], TWO, max_hops=10)
+    assert r.sink_id == 1
+    _assert_hops_use_geometry(r, [midfield], TWO)
+    # the rule is on the id, not on the order the field lists its sinks
+    swapped = FieldConfig(106, 68, tuple(reversed(TWO.sinks)))
+    r = wstm_route(midfield, [midfield], swapped, max_hops=10)
+    assert r.sink_id == 1
+    _assert_hops_use_geometry(r, [midfield], swapped)
 
 
 def make_ids():
