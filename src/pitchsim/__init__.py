@@ -5,7 +5,7 @@ sensor networks on a soccer pitch."""
 from .channel import ChannelParams, propagation_delay, transmit_hop
 from .energy import (Battery, RadioModel, direct_tx_energy, multihop_rx_energy,
                      multihop_total_energy, multihop_tx_energy)
-from .engine import (MatchResult, MetricsLog, aggregate, run_match,
+from .engine import (MatchResult, MetricsLog, World, aggregate, run_match,
                      simulate_mobility, stability_period)
 from .geometry import FieldConfig, Point, clamp_to_field, distance, nearest_sink
 from .mobility import MobilityParams, PlayerKinematics, SpeedMode

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .engine import run_match
+from .engine import World, run_match
 from .report import emit_comparison_reports, emit_run_reports
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -90,6 +90,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _paired_runs(base: Scenario):
+    """Both protocols on one world: movement, lactate and fatigue events
+    are computed once, and the world is dropped on return."""
+    world = World(base)
+    return (run_match(base.with_protocol("thefame"), world=world),
+            run_match(base.with_protocol("wstm"), world=world))
+
+
 def _cmd_compare(args) -> int:
     scenario = _load_scenario(args.scenario)
     try:
@@ -100,9 +108,9 @@ def _cmd_compare(args) -> int:
     fame_runs = []
     wstm_runs = []
     for seed in seeds:
-        base = scenario.with_seed(seed)
-        fame_runs.append((seed, run_match(base.with_protocol("thefame"))))
-        wstm_runs.append((seed, run_match(base.with_protocol("wstm"))))
+        fame, wstm = _paired_runs(scenario.with_seed(seed))
+        fame_runs.append((seed, fame))
+        wstm_runs.append((seed, wstm))
     out_dir = args.out or _default_out()
     paths = emit_comparison_reports(fame_runs, wstm_runs, out_dir)
     print(f"compared {len(seeds)} paired seeds ({2 * len(seeds)} runs)")

@@ -11,10 +11,28 @@ packet ends in exactly one of delivered (reached a sink), dropped (a
 hop lost it), or routing-failed (no route, or a node on the route was
 already dead when its turn came).
 
-The human keeps playing when the node battery dies: movement and
-physiology advance for every player each round, so trajectories depend
-only on (seed, mobility parameters) and never on the protocol. Dead
-nodes stop sensing, transmitting, relaying, and receiving.
+A round is two passes. The world pass (``World.advance``) moves every
+player, steps their lactate and checks every fatigue monitor. It draws
+only on the ``mobility`` and ``scheduling`` streams and reads no
+battery: the human keeps playing when the node dies, so trajectories
+and monitor outcomes depend only on (seed, mobility and physiology
+parameters), never on the protocol. The protocol pass (``MatchSim``)
+keeps the round's fatigue events of nodes alive at its start, then
+triggers, routes, sends and records. Dead nodes stop sensing,
+transmitting, relaying and receiving, and never come back, so dropping
+a dead node's events gives the events of a monitor consulted only while
+the node lives.
+
+A match builds a private world that keeps no history, so it does the
+work of one pass of each kind per round. ``compare`` shares one world
+per seed between both protocols (common random numbers): the first
+match advances it, the second replays the rounds already played and
+advances it live past them (the first may have stopped early, once all
+its nodes died). A shared world keeps only what a replay reads: each
+round's fatigue events, and one position snapshot per round on which a
+packet can originate (a round with an event, or a multiple of
+``wstm_period_s``). The replaying match routes over its own copies of
+the kinematics, loaded from those snapshots.
 
 ``MatchSim.alive`` holds the alive players' kinematics in player-id
 order. It starts with every player and loses a player inside the debit
@@ -22,7 +40,7 @@ that kills its node, so a node that dies mid-round is out of every
 later route of that round. The trigger, the wstm router and
 ``alive_count`` read this list instead of rescanning the batteries.
 
-``move_players`` is the one movement loop: ``MatchSim`` runs it every
+``move_players`` is the one movement loop: ``World`` runs it every
 round, and ``simulate_mobility`` runs it alone for calibration and
 tests, on the same RNG streams, so both give the same trajectories.
 """
@@ -31,7 +49,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 
 from .channel import propagation_delay, transmit_hop
 from .energy import Battery, direct_tx_energy, relay_rx_energy
@@ -117,42 +136,120 @@ class MatchResult:
     lactate_trace: list[tuple[int, int, float]] = field(default_factory=list)
 
 
-class _Node:
-    __slots__ = ("kin", "battery", "monitor", "lactate")
+class World:
+    """The protocol-independent part of a match, one round at a time.
 
-    def __init__(self, kin: PlayerKinematics, battery: Battery,
-                 monitor: FatigueMonitor, lactate: float):
-        self.kin = kin
-        self.battery = battery
-        self.monitor = monitor
-        self.lactate = lactate
+    It owns the group reference, the players' kinematics on the
+    ``mobility`` and ``scheduling`` streams, each player's lactate and
+    ``FatigueMonitor``, and the trajectory/lactate recording. ``advance``
+    plays one round: movement, then lactate and the fatigue check of
+    every player, whatever the state of the player's battery.
 
-
-class MatchSim:
-    """Single-threaded, deterministic simulation of one match."""
+    With ``history`` the world keeps, for each round on which a packet
+    can originate (one with a fatigue event, or a multiple of
+    ``wstm_period_s``), the round's events and an ``array('d')`` of every
+    player's x and y. Any number of matches can then run on it: a match
+    replays the rounds the world has played and advances it past them.
+    Without history the world serves exactly one match, in step with it.
+    """
 
     def __init__(self, scenario: Scenario, record_trajectory: bool = False,
-                 record_lactate: bool = False):
+                 record_lactate: bool = False, *, history: bool = True):
         self.scenario = scenario
         self.field = scenario.build_field()
-        self.radio = scenario.radio
-        self.channel = scenario.channel
         self.mobility = scenario.mobility
         self.lactate_params = scenario.lactate
         self.mob_rng = stream(scenario.seed, "mobility")
         self.sched_rng = stream(scenario.seed, "scheduling")
-        self.chan_rng = stream(scenario.seed, "channel")
         self.group = GroupReference.centered(self.field)
-        self.nodes = [
-            _Node(kin, Battery(scenario.initial_energy_j),
-                  FatigueMonitor(scenario.thresholds), scenario.lactate.l_base)
-            for kin in make_players(scenario.players, self.field)
-        ]
+        self.kins = make_players(scenario.players, self.field)
+        self.lactate = [scenario.lactate.l_base] * len(self.kins)
+        self.monitors = [FatigueMonitor(scenario.thresholds) for _ in self.kins]
+        self.round = 0
+        # round -> (its fatigue events, x0, y0, x1, y1, ...)
+        self.history: dict[int, tuple[list[FatigueEvent], array]] | None = (
+            {} if history else None)
+        self.record_trajectory = record_trajectory
+        self.record_lactate = record_lactate
+        self.trajectory: list[tuple[int, int, float, float, str]] = []
+        self.lactate_trace: list[tuple[int, int, float]] = []
+
+    def check_serves(self, scenario: Scenario) -> None:
+        """Raise ValueError unless ``scenario`` equals this world's own up
+        to ``protocol``."""
+        if replace(scenario, protocol=self.scenario.protocol) != self.scenario:
+            raise ValueError("a world serves only scenarios that equal its own "
+                             "up to protocol")
+
+    def advance(self) -> list[FatigueEvent]:
+        """Play the next round; return its fatigue events."""
+        self.round += 1
+        t = self.round
+        kins = self.kins
+        modes = move_players(self.group, kins, self.field, self.mobility,
+                             self.mob_rng, self.sched_rng)
+        lactate, monitors, params = self.lactate, self.monitors, self.lactate_params
+        events: list[FatigueEvent] = []
+        for i, kin in enumerate(kins):
+            level = lactate[i] = step_lactate(lactate[i], kin.speed_kmh, params, 1.0)
+            if self.record_trajectory:
+                self.trajectory.append((t, kin.player_id, kin.x, kin.y,
+                                        modes[i].value))
+            if self.record_lactate:
+                self.lactate_trace.append((t, kin.player_id, level))
+            ev = monitors[i].check(level, kin.cumulative_km, t, kin.player_id)
+            if ev is not None:
+                events.append(ev)
+        if self.history is not None and (events or t % self.scenario.wstm_period_s == 0):
+            self.history[t] = (events, array("d", [v for k in kins for v in (k.x, k.y)]))
+        return events
+
+
+class _Node:
+    __slots__ = ("kin", "battery")
+
+    def __init__(self, kin: PlayerKinematics, battery: Battery):
+        self.kin = kin
+        self.battery = battery
+
+
+class MatchSim:
+    """Single-threaded, deterministic simulation of one match: the
+    protocol pass over a world, private unless one is given."""
+
+    def __init__(self, scenario: Scenario, record_trajectory: bool = False,
+                 record_lactate: bool = False, world: World | None = None):
+        if world is None:
+            world = World(scenario, record_trajectory, record_lactate,
+                          history=False)
+        else:
+            if record_trajectory or record_lactate:
+                raise ValueError("a given world records for every match on it; "
+                                 "pass the recording flags to World")
+            world.check_serves(scenario)
+            if world.history is None and world.round:
+                raise ValueError("the world has played rounds and keeps no "
+                                 "history to replay them")
+        self.scenario = scenario
+        self.world = world
+        self.field = (world.field if world.scenario.protocol == scenario.protocol
+                      else scenario.build_field())
+        self.radio = scenario.radio
+        self.channel = scenario.channel
+        self.chan_rng = stream(scenario.seed, "channel")
+        if world.history is None:
+            kins = world.kins
+        else:
+            # routes read these, loaded from the world's snapshot of every
+            # round that sends; the world's own kinematics may be rounds ahead
+            kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
+                    for k in world.kins]
+        self.nodes = [_Node(kin, Battery(scenario.initial_energy_j)) for kin in kins]
         self.metrics = MetricsLog(
             initial_energy_j=scenario.initial_energy_j,
             debits={n.kin.player_id: [] for n in self.nodes},
         )
-        self.kins = [n.kin for n in self.nodes]
+        self.kins = kins
         # kinematics of the alive players in player-id order; _debit drops a
         # node the moment a debit kills it
         self.alive = list(self.kins)
@@ -160,10 +257,6 @@ class MatchSim:
         self.feed: list[Delivery] = []
         self._ids = itertools.count(1)
         self._round = 0
-        self._record_trajectory = record_trajectory
-        self._record_lactate = record_lactate
-        self.trajectory: list[tuple[int, int, float, float, str]] = []
-        self.lactate_trace: list[tuple[int, int, float]] = []
 
     def alive_count(self) -> int:
         return len(self.alive)
@@ -176,28 +269,30 @@ class MatchSim:
         t = self._round
         rec = RoundRecord(round=t, alive=0)
 
-        modes = move_players(self.group, self.kins, self.field, self.mobility,
-                             self.mob_rng, self.sched_rng)
-        events_now: list[FatigueEvent] = []
-        for node, mode in zip(self.nodes, modes):
-            kin = node.kin
-            node.lactate = step_lactate(node.lactate, kin.speed_kmh,
-                                        self.lactate_params, 1.0)
-            if self._record_trajectory:
-                self.trajectory.append((t, kin.player_id, kin.x, kin.y, mode.value))
-            if self._record_lactate:
-                self.lactate_trace.append((t, kin.player_id, node.lactate))
-            if not node.battery.dead:
-                ev = node.monitor.check(node.lactate, kin.cumulative_km, t,
-                                        kin.player_id)
-                if ev is not None:
-                    events_now.append(ev)
-                    self.events.append(ev)
+        world = self.world
+        kept = None
+        if world.history is None:
+            events = world.advance()
+        else:
+            if t > world.round:
+                world.advance()
+            kept = world.history.get(t)
+            events = kept[0] if kept is not None else ()
+        if events:
+            # nodes dead at the start of this pass sense nothing
+            nodes = self.nodes
+            events = [ev for ev in events if not nodes[ev.player_id].battery.dead]
+            self.events.extend(events)
 
         packets = trigger_transmissions(self.scenario.protocol,
-                                        self.scenario.wstm_period_s, t, events_now,
+                                        self.scenario.wstm_period_s, t, events,
                                         self.alive, self.radio.packet_bits, self._ids)
         rec.triggered = len(packets)
+        if packets and kept is not None:
+            snapshot = kept[1]
+            for kin, x, y in zip(self.kins, snapshot[::2], snapshot[1::2]):
+                kin.x = x
+                kin.y = y
         for packet in packets:
             route = self._route(packet)
             if route is None:
@@ -257,10 +352,11 @@ class MatchSim:
             rec.routing_failures += 1
 
     def _debit(self, node: _Node, amount: float, t: int) -> None:
-        was_dead = node.battery.dead
-        applied = node.battery.debit(amount)
-        self.metrics.debits[node.kin.player_id].append(applied)
-        if node.battery.dead and not was_dead:
+        # _send only debits alive nodes, so a dead battery now means this
+        # debit killed it
+        battery = node.battery
+        self.metrics.debits[node.kin.player_id].append(battery.debit(amount))
+        if battery.dead:
             self.metrics.deaths.append((node.kin.player_id, t))
             self.alive.remove(node.kin)
 
@@ -276,22 +372,29 @@ class MatchSim:
             for t in range(early_stop + 1, self.scenario.rounds + 1):
                 self.metrics.rounds.append(RoundRecord(round=t, alive=0,
                                                        residual_j=0.0))
+        trajectory = self.world.trajectory
+        lactate_trace = self.world.lactate_trace
+        if self.world.history is not None:
+            # a shared world may play on past this match; keep its rounds
+            rows = self._round * len(self.nodes)
+            trajectory, lactate_trace = trajectory[:rows], lactate_trace[:rows]
         return MatchResult(
             scenario=self.scenario,
             metrics=self.metrics,
             feed=aggregate(self.feed),
             events=self.events,
             early_stop_round=early_stop,
-            trajectory=self.trajectory,
-            lactate_trace=self.lactate_trace,
+            trajectory=trajectory,
+            lactate_trace=lactate_trace,
         )
 
 
 def run_match(scenario: Scenario, record_trajectory: bool = False,
-              record_lactate: bool = False) -> MatchResult:
-    """Simulate one full match for one protocol."""
+              record_lactate: bool = False,
+              world: World | None = None) -> MatchResult:
+    """Simulate one full match for one protocol, on ``world`` if given."""
     sim = MatchSim(scenario, record_trajectory=record_trajectory,
-                   record_lactate=record_lactate)
+                   record_lactate=record_lactate, world=world)
     return sim.run()
 
 

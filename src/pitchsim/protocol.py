@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from math import hypot
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import (EmptySinkSetError, FieldConfig, nearest_sink,
-                       nearest_sink_xy)
+from .geometry import EmptySinkSetError, FieldConfig, nearest_sink_xy
 from .mobility import PlayerKinematics
 from .physiology import FatigueEvent
 
@@ -72,7 +71,7 @@ class Route:
 
 def thefame_route(player: PlayerKinematics, field: FieldConfig) -> Route:
     """Single hop from the player to its nearest sink."""
-    sid, d = nearest_sink(player.position, field)
+    sid, d, _ = nearest_sink_xy(player.x, player.y, field)
     return Route((Hop(player.player_id, None, sid, d),))
 
 

@@ -134,3 +134,20 @@ def test_paired_comparison_shares_trajectories(tmp_path):
     fame = run_match(base, record_trajectory=True)
     wstm = run_match(base.with_protocol("wstm"), record_trajectory=True)
     assert fame.trajectory == wstm.trajectory
+
+
+def test_compare_moves_the_players_once_per_seed(tmp_path, monkeypatch):
+    # 1000 J batteries: neither protocol stops early, so each plays every round
+    from pitchsim import engine
+    calls = []
+    original = engine.step_group_reference
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step_group_reference", counted)
+    scenario = write(tmp_path, FAST + "energy.initial_j = 1000\n")
+    assert main(["compare", "--scenario", scenario, "--seeds", "0..1",
+                 "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    assert len(calls) == 2 * 200

@@ -1,10 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
-from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog,
+from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, World,
                              aggregate, run_match, simulate_mobility,
                              stability_period)
+from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
-from pitchsim.scenario import Scenario
+from pitchsim.scenario import Scenario, parse_scenario
 
 
 def small(protocol="thefame", **kwargs):
@@ -226,3 +232,88 @@ def test_alive_list_equals_a_fresh_recount_every_round():
         assert all(a is b for a, b in zip(sim.alive, recount))
     assert min(died_in) == 10
     assert sim.alive == []
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _shared_world_cases():
+    default = replace(parse_scenario(str(SCENARIOS / "default.cfg")), rounds=400)
+    high = replace(parse_scenario(str(SCENARIOS / "high-rate.cfg")), rounds=600)
+    return {
+        # wstm loses every node by round 180 and stops early; thefame plays on
+        "default": default,
+        # thousands of fatigue events, no deaths
+        "high-rate": high,
+        # mid-match deaths in both protocols, so the monitors of dead nodes
+        # keep firing and each protocol must drop those events itself
+        "high-rate-0.5j": replace(high, initial_energy_j=0.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_shared_world_cases()))
+@pytest.mark.parametrize("order", [("thefame", "wstm"), ("wstm", "thefame")])
+def test_shared_world_gives_the_results_of_private_worlds(case, order):
+    base = _shared_world_cases()[case]
+    world = World(base)
+    shared = {p: run_match(base.with_protocol(p), world=world) for p in order}
+    for protocol in order:
+        a, b = shared[protocol], run_match(base.with_protocol(protocol))
+        assert a.metrics.rounds == b.metrics.rounds
+        assert a.metrics.deaths == b.metrics.deaths
+        assert a.metrics.debits == b.metrics.debits
+        assert a.feed == b.feed
+        assert a.events == b.events
+        assert a.early_stop_round == b.early_stop_round
+        # a node's events count up to and including the round it dies in
+        last = a.early_stop_round or base.rounds
+        death = dict(a.metrics.deaths)
+        assert a.events == [ev for t in sorted(world.history) if t <= last
+                            for ev in world.history[t][0]
+                            if death.get(ev.player_id, last) >= t]
+    if case == "default":
+        assert shared["wstm"].early_stop_round == 180
+    if case == "high-rate-0.5j":
+        assert all(r.metrics.deaths for r in shared.values())
+        assert len(shared["wstm"].events) < len(shared["thefame"].events)
+
+
+def test_shared_world_records_each_match_up_to_its_own_end():
+    base = small("wstm", rounds=300)   # wstm stops early, thefame plays on
+    world = World(base, record_trajectory=True, record_lactate=True)
+    wstm = run_match(base, world=world)
+    fame = run_match(base.with_protocol("thefame"), world=world)
+    for shared in (wstm, fame):
+        alone = run_match(shared.scenario, record_trajectory=True,
+                          record_lactate=True)
+        assert shared.trajectory == alone.trajectory
+        assert shared.lactate_trace == alone.lactate_trace
+    assert len(wstm.trajectory) < len(fame.trajectory) == 300 * 22
+
+
+@pytest.mark.parametrize("change", [{"seed": 2}, {"mobility": MobilityParams(v_walk=4.0)}])
+def test_world_refuses_a_scenario_it_does_not_serve(change):
+    base = small()
+    with pytest.raises(ValueError):
+        run_match(base, world=World(replace(base, **change)))
+
+
+def test_world_serves_the_other_protocol():
+    # a wstm world has goal sinks; the thefame match must route to its own six
+    base = small(rounds=50)
+    world = World(base.with_protocol("wstm"))
+    assert run_match(base, world=world).metrics.rounds == run_match(base).metrics.rounds
+
+
+def test_world_without_history_serves_one_match_only():
+    base = small(rounds=20)
+    world = World(base, history=False)
+    run_match(base, world=world)
+    with pytest.raises(ValueError):
+        run_match(base.with_protocol("wstm"), world=world)
+
+
+def test_given_world_refuses_per_match_recording_flags():
+    base = small(rounds=20)
+    with pytest.raises(ValueError):
+        run_match(base, record_trajectory=True, world=World(base))
