@@ -23,16 +23,15 @@ transmitting, relaying and receiving, and never come back, so dropping
 a dead node's events gives the events of a monitor consulted only while
 the node lives.
 
-A match builds a private world that keeps no history, so it does the
-work of one pass of each kind per round. ``compare`` shares one world
-per seed between both protocols (common random numbers): the first
-match advances it, the second replays the rounds already played and
-advances it live past them (the first may have stopped early, once all
-its nodes died). A shared world keeps only what a replay reads: each
-round's fatigue events, and one position snapshot per round on which a
-packet can originate (a round with an event, or a multiple of
-``wstm_period_s``). The replaying match routes over its own copies of
-the kinematics, loaded from those snapshots.
+A match builds a private world unless it is given one. ``compare``
+shares one world per seed between both protocols (common random
+numbers): the first match advances it, the second replays the rounds
+already played and advances it live past them (the first may have
+stopped early, once all its nodes died). A world keeps only what a
+replay reads: each round's fatigue events, and one position snapshot
+per round on which a packet can originate (a round with an event, or a
+multiple of ``wstm_period_s``). Every match routes over its own copies
+of the kinematics, loaded from those snapshots.
 
 ``MatchSim.alive`` holds the alive players' kinematics in player-id
 order. It starts with every player and loses a player inside the debit
@@ -145,16 +144,15 @@ class World:
     plays one round: movement, then lactate and the fatigue check of
     every player, whatever the state of the player's battery.
 
-    With ``history`` the world keeps, for each round on which a packet
-    can originate (one with a fatigue event, or a multiple of
-    ``wstm_period_s``), the round's events and an ``array('d')`` of every
-    player's x and y. Any number of matches can then run on it: a match
-    replays the rounds the world has played and advances it past them.
-    Without history the world serves exactly one match, in step with it.
+    For each round on which a packet can originate (one with a fatigue
+    event, or a multiple of ``wstm_period_s``) the world keeps the
+    round's events and an ``array('d')`` of every player's x and y. Any
+    number of matches can run on it: a match replays the rounds the
+    world has played and advances it past them.
     """
 
     def __init__(self, scenario: Scenario, record_trajectory: bool = False,
-                 record_lactate: bool = False, *, history: bool = True):
+                 record_lactate: bool = False):
         self.scenario = scenario
         self.field = scenario.build_field()
         self.mobility = scenario.mobility
@@ -167,8 +165,7 @@ class World:
         self.monitors = [FatigueMonitor(scenario.thresholds) for _ in self.kins]
         self.round = 0
         # round -> (its fatigue events, x0, y0, x1, y1, ...)
-        self.history: dict[int, tuple[list[FatigueEvent], array]] | None = (
-            {} if history else None)
+        self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
         self.record_trajectory = record_trajectory
         self.record_lactate = record_lactate
         self.trajectory: list[tuple[int, int, float, float, str]] = []
@@ -200,7 +197,7 @@ class World:
             ev = monitors[i].check(level, kin.cumulative_km, t, kin.player_id)
             if ev is not None:
                 events.append(ev)
-        if self.history is not None and (events or t % self.scenario.wstm_period_s == 0):
+        if events or t % self.scenario.wstm_period_s == 0:
             self.history[t] = (events, array("d", [v for k in kins for v in (k.x, k.y)]))
         return events
 
@@ -215,35 +212,25 @@ class _Node:
 
 class MatchSim:
     """Single-threaded, deterministic simulation of one match: the
-    protocol pass over a world, private unless one is given."""
+    protocol pass over a world, private unless one is given. The
+    recording flags apply to the private world."""
 
     def __init__(self, scenario: Scenario, record_trajectory: bool = False,
                  record_lactate: bool = False, world: World | None = None):
         if world is None:
-            world = World(scenario, record_trajectory, record_lactate,
-                          history=False)
+            world = World(scenario, record_trajectory, record_lactate)
         else:
-            if record_trajectory or record_lactate:
-                raise ValueError("a given world records for every match on it; "
-                                 "pass the recording flags to World")
             world.check_serves(scenario)
-            if world.history is None and world.round:
-                raise ValueError("the world has played rounds and keeps no "
-                                 "history to replay them")
         self.scenario = scenario
         self.world = world
-        self.field = (world.field if world.scenario.protocol == scenario.protocol
-                      else scenario.build_field())
+        self.field = scenario.build_field()
         self.radio = scenario.radio
         self.channel = scenario.channel
         self.chan_rng = stream(scenario.seed, "channel")
-        if world.history is None:
-            kins = world.kins
-        else:
-            # routes read these, loaded from the world's snapshot of every
-            # round that sends; the world's own kinematics may be rounds ahead
-            kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
-                    for k in world.kins]
+        # routes read these, loaded from the world's snapshot of every round
+        # that sends; the world's own kinematics may be rounds ahead
+        kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
+                for k in world.kins]
         self.nodes = [_Node(kin, Battery(scenario.initial_energy_j)) for kin in kins]
         self.metrics = MetricsLog(
             initial_energy_j=scenario.initial_energy_j,
@@ -270,14 +257,10 @@ class MatchSim:
         rec = RoundRecord(round=t, alive=0)
 
         world = self.world
-        kept = None
-        if world.history is None:
-            events = world.advance()
-        else:
-            if t > world.round:
-                world.advance()
-            kept = world.history.get(t)
-            events = kept[0] if kept is not None else ()
+        if t > world.round:
+            world.advance()
+        kept = world.history.get(t)
+        events = kept[0] if kept is not None else ()
         if events:
             # nodes dead at the start of this pass sense nothing
             nodes = self.nodes
@@ -288,7 +271,7 @@ class MatchSim:
                                         self.scenario.wstm_period_s, t, events,
                                         self.alive, self.radio.packet_bits, self._ids)
         rec.triggered = len(packets)
-        if packets and kept is not None:
+        if packets:
             snapshot = kept[1]
             for kin, x, y in zip(self.kins, snapshot[::2], snapshot[1::2]):
                 kin.x = x
@@ -372,20 +355,14 @@ class MatchSim:
             for t in range(early_stop + 1, self.scenario.rounds + 1):
                 self.metrics.rounds.append(RoundRecord(round=t, alive=0,
                                                        residual_j=0.0))
-        trajectory = self.world.trajectory
-        lactate_trace = self.world.lactate_trace
-        if self.world.history is not None:
-            # a shared world may play on past this match; keep its rounds
-            rows = self._round * len(self.nodes)
-            trajectory, lactate_trace = trajectory[:rows], lactate_trace[:rows]
         return MatchResult(
             scenario=self.scenario,
             metrics=self.metrics,
             feed=aggregate(self.feed),
             events=self.events,
             early_stop_round=early_stop,
-            trajectory=trajectory,
-            lactate_trace=lactate_trace,
+            trajectory=self.world.trajectory,
+            lactate_trace=self.world.lactate_trace,
         )
 
 

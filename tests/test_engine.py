@@ -198,7 +198,8 @@ def test_simulate_mobility_ends_where_the_match_does():
     assert not result.metrics.deaths
     last = {pid: (x, y) for t, pid, x, y, _ in result.trajectory
             if t == scenario.rounds}
-    match_end = [(*last[n.kin.player_id], n.kin.cumulative_km) for n in sim.nodes]
+    # the world moves the players; a node's kin only holds routing positions
+    match_end = [(*last[k.player_id], k.cumulative_km) for k in sim.world.kins]
     alone = simulate_mobility(scenario.mobility, sim.field, scenario.players,
                               scenario.rounds, scenario.seed)
     assert [(k.x, k.y, k.cumulative_km) for k in alone.players] == match_end
@@ -278,19 +279,6 @@ def test_shared_world_gives_the_results_of_private_worlds(case, order):
         assert len(shared["wstm"].events) < len(shared["thefame"].events)
 
 
-def test_shared_world_records_each_match_up_to_its_own_end():
-    base = small("wstm", rounds=300)   # wstm stops early, thefame plays on
-    world = World(base, record_trajectory=True, record_lactate=True)
-    wstm = run_match(base, world=world)
-    fame = run_match(base.with_protocol("thefame"), world=world)
-    for shared in (wstm, fame):
-        alone = run_match(shared.scenario, record_trajectory=True,
-                          record_lactate=True)
-        assert shared.trajectory == alone.trajectory
-        assert shared.lactate_trace == alone.lactate_trace
-    assert len(wstm.trajectory) < len(fame.trajectory) == 300 * 22
-
-
 @pytest.mark.parametrize("change", [{"seed": 2}, {"mobility": MobilityParams(v_walk=4.0)}])
 def test_world_refuses_a_scenario_it_does_not_serve(change):
     base = small()
@@ -303,17 +291,3 @@ def test_world_serves_the_other_protocol():
     base = small(rounds=50)
     world = World(base.with_protocol("wstm"))
     assert run_match(base, world=world).metrics.rounds == run_match(base).metrics.rounds
-
-
-def test_world_without_history_serves_one_match_only():
-    base = small(rounds=20)
-    world = World(base, history=False)
-    run_match(base, world=world)
-    with pytest.raises(ValueError):
-        run_match(base.with_protocol("wstm"), world=world)
-
-
-def test_given_world_refuses_per_match_recording_flags():
-    base = small(rounds=20)
-    with pytest.raises(ValueError):
-        run_match(base, record_trajectory=True, world=World(base))
