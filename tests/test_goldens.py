@@ -5,6 +5,8 @@ The workloads, the digest rule and the goldens are the benchmark's own,
 loaded from ``benchmarks/workloads.py`` by path.
 """
 
+import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -63,3 +65,40 @@ def test_default_compare_with_node_deaths_matches_golden(tmp_path):
     digest, size = bench.tree_digest(tmp_path)
     assert size > 0
     assert digest == DEATH_RUN_DIGEST
+
+
+# Recorded before the recording flags moved onto the world: the run's
+# trajectory.csv and lactate.csv, next to its three usual reports, on the
+# event-heavy preset cut to 200 rounds.
+RECORDED_RUN_DIGEST = "151fc49466031367522e89ebfcfe2003cdf475ca34875f86d5e2de813ebcde23"
+
+
+def test_recorded_run_matches_golden(tmp_path):
+    preset = Path(__file__).resolve().parents[1] / "scenarios" / "high-rate.cfg"
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text(preset.read_text() + "rounds = 200\n")
+    out = tmp_path / "out"
+    code = MODULES["cli"].main(["run", "--scenario", str(scenario), "--out", str(out),
+                                "--dump-trajectory", "--dump-lactate"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.csv", "lactate.csv", "summary.csv", "timeseries.csv", "trajectory.csv"]
+    digest, _ = bench.tree_digest(out)
+    assert digest == RECORDED_RUN_DIGEST
+
+
+# Recorded before simulate_mobility ran on a world: every player's final
+# position and distance, and every sprint episode, of seed 5 over 600 rounds.
+MOBILITY_RUN_DIGEST = "78411694b62fff5aab6bb6f3555601690370aacab0a28ff762ed0977c4306132"
+
+
+def test_simulate_mobility_matches_golden():
+    from pitchsim.engine import simulate_mobility
+    from pitchsim.geometry import FieldConfig
+    from pitchsim.mobility import MobilityParams
+    run = simulate_mobility(MobilityParams(), FieldConfig.six_sinks(), 22, 600, 5)
+    finals = [(k.x, k.y, k.cumulative_km) for k in run.players]
+    sprints = [dataclasses.astuple(ep) for ep in run.sprints]
+    assert any(ep[-1] for ep in sprints) and len(sprints) > 22
+    digest = hashlib.sha256(repr((finals, sprints)).encode()).hexdigest()
+    assert digest == MOBILITY_RUN_DIGEST
