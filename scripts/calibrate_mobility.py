@@ -11,8 +11,7 @@ import statistics
 import sys
 
 from pitchsim.engine import simulate_mobility
-from pitchsim.geometry import FieldConfig
-from pitchsim.mobility import MobilityParams
+from pitchsim.scenario import Scenario
 
 
 def main(argv=None):
@@ -22,13 +21,12 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=5400)
     args = parser.parse_args(argv)
 
-    params = MobilityParams()
-    field = FieldConfig.six_sinks()
     distances = []
     sprint_counts = []
     crossings = []
     for seed in range(args.seeds):
-        run = simulate_mobility(params, field, args.players, args.rounds, seed)
+        run = simulate_mobility(Scenario(players=args.players, rounds=args.rounds,
+                                         seed=seed))
         per_player = {k.player_id: 0 for k in run.players}
         for ep in run.sprints:
             per_player[ep.player_id] += 1

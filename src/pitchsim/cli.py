@@ -77,8 +77,9 @@ def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    result = run_match(scenario, record_trajectory=args.dump_trajectory,
-                       record_lactate=args.dump_lactate)
+    world = World(scenario, record_trajectory=args.dump_trajectory,
+                  record_lactate=args.dump_lactate)
+    result = run_match(scenario, world=world)
     out_dir = args.out or _default_out()
     paths = emit_run_reports(result, out_dir)
     last = result.metrics.rounds[-1]

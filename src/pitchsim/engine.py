@@ -1,5 +1,5 @@
 """Round-based simulation loop, the sink-side aggregation unit, and the
-movement-only run built on the loop.
+movement-only run built on the world.
 
 Each round (one second of match time) runs, in order: group reference
 and player movement, lactate update, fatigue check, packet triggering,
@@ -31,7 +31,10 @@ stopped early, once all its nodes died). A world keeps only what a
 replay reads: each round's fatigue events, and one position snapshot
 per round on which a packet can originate (a round with an event, or a
 multiple of ``wstm_period_s``). Every match routes over its own copies
-of the kinematics, loaded from those snapshots.
+of the kinematics, loaded from those snapshots. Recording is the
+world's too: a match returns the trajectory and lactate trace of the
+world it ran on, which records them only when built with
+``record_trajectory`` or ``record_lactate``.
 
 ``MatchSim.alive`` holds the alive players' kinematics in player-id
 order. It starts with every player and loses a player inside the debit
@@ -39,9 +42,9 @@ that kills its node, so a node that dies mid-round is out of every
 later route of that round. The trigger, the wstm router and
 ``alive_count`` read this list instead of rescanning the batteries.
 
-``move_players`` is the one movement loop: ``World`` runs it every
-round, and ``simulate_mobility`` runs it alone for calibration and
-tests, on the same RNG streams, so both give the same trajectories.
+``move_players`` is the one movement loop, and ``World.advance`` its
+one caller. ``simulate_mobility`` plays a world with no match on it, for
+calibration and tests, and logs sprint episodes from ``World.modes``.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ from .scenario import Scenario
 from .seeding import stream
 
 NO_DEATH = None
-
-_DELIVERED = "delivered"
-_DROPPED = "dropped"
-_FAILED = "failed"
 
 
 @dataclass(slots=True)
@@ -164,6 +163,7 @@ class World:
         self.lactate = [scenario.lactate.l_base] * len(self.kins)
         self.monitors = [FatigueMonitor(scenario.thresholds) for _ in self.kins]
         self.round = 0
+        self.modes: list[SpeedMode] = []   # each player's mode in the last round
         # round -> (its fatigue events, x0, y0, x1, y1, ...)
         self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
         self.record_trajectory = record_trajectory
@@ -183,8 +183,9 @@ class World:
         self.round += 1
         t = self.round
         kins = self.kins
-        modes = move_players(self.group, kins, self.field, self.mobility,
-                             self.mob_rng, self.sched_rng)
+        modes = self.modes = move_players(self.group, kins, self.field,
+                                          self.mobility, self.mob_rng,
+                                          self.sched_rng)
         lactate, monitors, params = self.lactate, self.monitors, self.lactate_params
         events: list[FatigueEvent] = []
         for i, kin in enumerate(kins):
@@ -202,23 +203,13 @@ class World:
         return events
 
 
-class _Node:
-    __slots__ = ("kin", "battery")
-
-    def __init__(self, kin: PlayerKinematics, battery: Battery):
-        self.kin = kin
-        self.battery = battery
-
-
 class MatchSim:
     """Single-threaded, deterministic simulation of one match: the
-    protocol pass over a world, private unless one is given. The
-    recording flags apply to the private world."""
+    protocol pass over a world, private unless one is given."""
 
-    def __init__(self, scenario: Scenario, record_trajectory: bool = False,
-                 record_lactate: bool = False, world: World | None = None):
+    def __init__(self, scenario: Scenario, world: World | None = None):
         if world is None:
-            world = World(scenario, record_trajectory, record_lactate)
+            world = World(scenario)
         else:
             world.check_serves(scenario)
         self.scenario = scenario
@@ -227,16 +218,15 @@ class MatchSim:
         self.radio = scenario.radio
         self.channel = scenario.channel
         self.chan_rng = stream(scenario.seed, "channel")
-        # routes read these, loaded from the world's snapshot of every round
-        # that sends; the world's own kinematics may be rounds ahead
-        kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
-                for k in world.kins]
-        self.nodes = [_Node(kin, Battery(scenario.initial_energy_j)) for kin in kins]
+        # indexed by player id; routes read these kinematics, loaded from the
+        # world's snapshots (the world's own may be rounds ahead)
+        self.kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
+                     for k in world.kins]
+        self.batteries = [Battery(scenario.initial_energy_j) for _ in self.kins]
         self.metrics = MetricsLog(
             initial_energy_j=scenario.initial_energy_j,
-            debits={n.kin.player_id: [] for n in self.nodes},
+            debits={k.player_id: [] for k in self.kins},
         )
-        self.kins = kins
         # kinematics of the alive players in player-id order; _debit drops a
         # node the moment a debit kills it
         self.alive = list(self.kins)
@@ -249,7 +239,7 @@ class MatchSim:
         return len(self.alive)
 
     def residual_total(self) -> float:
-        return sum(n.battery.residual for n in self.nodes)
+        return sum(b.residual for b in self.batteries)
 
     def run_round(self) -> RoundRecord:
         self._round += 1
@@ -263,8 +253,8 @@ class MatchSim:
         events = kept[0] if kept is not None else ()
         if events:
             # nodes dead at the start of this pass sense nothing
-            nodes = self.nodes
-            events = [ev for ev in events if not nodes[ev.player_id].battery.dead]
+            batteries = self.batteries
+            events = [ev for ev in events if not batteries[ev.player_id].dead]
             self.events.extend(events)
 
         packets = trigger_transmissions(self.scenario.protocol,
@@ -289,38 +279,28 @@ class MatchSim:
         return rec
 
     def _route(self, packet: Packet) -> Route | None:
-        origin = self.nodes[packet.origin]
-        if origin.battery.dead:
+        if self.batteries[packet.origin].dead:
             # node died relaying earlier traffic this round
             return None
+        origin = self.kins[packet.origin]
         if self.scenario.protocol == THEFAME:
-            return thefame_route(origin.kin, self.field)
-        return wstm_route(origin.kin, self.alive, self.field, self.scenario.max_hops)
+            return thefame_route(origin, self.field)
+        return wstm_route(origin, self.alive, self.field, self.scenario.max_hops)
 
     def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
-        outcome = _FAILED
+        batteries = self.batteries
         for i, hop in enumerate(route.hops):
-            sender = self.nodes[hop.src]
-            if sender.battery.dead:
+            if batteries[hop.src].dead:
                 break
-            self._debit(sender, direct_tx_energy(self.radio, packet.size_bits,
-                                                 hop.dist), rec.round)
+            self._debit(hop.src, direct_tx_energy(self.radio, packet.size_bits,
+                                                  hop.dist), rec.round)
             rec.hop_sends += 1
             if i == 0:
                 rec.origin_sends += 1
             if not transmit_hop(self.channel, self.chan_rng):
                 rec.hop_drops += 1
-                outcome = _DROPPED
-                break
-            if hop.dst_player is not None:
-                relay = self.nodes[hop.dst_player]
-                if relay.battery.dead:
-                    break
-                self._debit(relay, relay_rx_energy(self.radio, packet.size_bits),
-                            rec.round)
-                # a relay drained to zero by the receive cannot forward;
-                # the dead-sender check above ends the route next hop
-            else:
+                return
+            if hop.dst_player is None:
                 delay = propagation_delay(self.channel, route, packet.size_bits)
                 self.feed.append(Delivery(
                     time=packet.created_at + delay, packet_id=packet.packet_id,
@@ -329,19 +309,23 @@ class MatchSim:
                 rec.received += 1
                 rec.delay_sum += delay
                 rec.delay_count += 1
-                outcome = _DELIVERED
+                return
+            if batteries[hop.dst_player].dead:
                 break
-        if outcome == _FAILED:
-            rec.routing_failures += 1
+            self._debit(hop.dst_player, relay_rx_energy(self.radio, packet.size_bits),
+                        rec.round)
+            # a relay drained to zero by the receive cannot forward; the
+            # dead-sender check above ends the route next hop
+        rec.routing_failures += 1
 
-    def _debit(self, node: _Node, amount: float, t: int) -> None:
+    def _debit(self, player_id: int, amount: float, t: int) -> None:
         # _send only debits alive nodes, so a dead battery now means this
         # debit killed it
-        battery = node.battery
-        self.metrics.debits[node.kin.player_id].append(battery.debit(amount))
+        battery = self.batteries[player_id]
+        self.metrics.debits[player_id].append(battery.debit(amount))
         if battery.dead:
-            self.metrics.deaths.append((node.kin.player_id, t))
-            self.alive.remove(node.kin)
+            self.metrics.deaths.append((player_id, t))
+            self.alive.remove(self.kins[player_id])
 
     def run(self) -> MatchResult:
         early_stop = None
@@ -366,13 +350,9 @@ class MatchSim:
         )
 
 
-def run_match(scenario: Scenario, record_trajectory: bool = False,
-              record_lactate: bool = False,
-              world: World | None = None) -> MatchResult:
+def run_match(scenario: Scenario, world: World | None = None) -> MatchResult:
     """Simulate one full match for one protocol, on ``world`` if given."""
-    sim = MatchSim(scenario, record_trajectory=record_trajectory,
-                   record_lactate=record_lactate, world=world)
-    return sim.run()
+    return MatchSim(scenario, world).run()
 
 
 def aggregate(deliveries: list[Delivery]) -> list[Delivery]:
@@ -396,11 +376,11 @@ def move_players(group: GroupReference, players: list[PlayerKinematics],
     physiology draws nothing, so a caller that runs physiology after this
     keeps every RNG sequence of a per-player interleaving.
     """
-    ref = step_group_reference(group, field, params, 1.0, mob_rng)
+    step_group_reference(group, field, params, 1.0, mob_rng)
     modes = []
     for kin in players:
         modes.append(schedule_mode(kin, params, 1.0, sched_rng))
-        step_player(kin, ref, field, params, 1.0, mob_rng)
+        step_player(kin, group, field, params, 1.0, mob_rng)
     return modes
 
 
@@ -418,22 +398,15 @@ class MobilityRun:
     sprints: list[SprintEpisode]
 
 
-def simulate_mobility(params: MobilityParams, field: FieldConfig, n_players: int,
-                      rounds: int, seed: int) -> MobilityRun:
-    """Run the movement subsystem alone; used for calibration and tests.
-
-    It runs the engine's movement loop on the engine's RNG streams, so
-    trajectories agree with protocol runs at the same seed.
-    """
-    mob = stream(seed, "mobility")
-    sched = stream(seed, "scheduling")
-    players = make_players(n_players, field)
-    group = GroupReference.centered(field)
+def simulate_mobility(scenario: Scenario) -> MobilityRun:
+    """Play the world of ``scenario`` with no match on it and log its
+    sprint episodes; used for calibration and tests."""
+    world = World(scenario)
     open_since: dict[int, int] = {}
     sprints: list[SprintEpisode] = []
-    for t in range(1, rounds + 1):
-        modes = move_players(group, players, field, params, mob, sched)
-        for k, mode in zip(players, modes):
+    for t in range(1, scenario.rounds + 1):
+        world.advance()
+        for k, mode in zip(world.kins, world.modes):
             was_sprinting = k.player_id in open_since
             if mode is SpeedMode.SPRINT and not was_sprinting:
                 open_since[k.player_id] = t
@@ -441,5 +414,6 @@ def simulate_mobility(params: MobilityParams, field: FieldConfig, n_players: int
                 start = open_since.pop(k.player_id)
                 sprints.append(SprintEpisode(k.player_id, start, t - start))
     for pid, start in sorted(open_since.items()):
-        sprints.append(SprintEpisode(pid, start, rounds + 1 - start, truncated=True))
-    return MobilityRun(players, sprints)
+        sprints.append(SprintEpisode(pid, start, scenario.rounds + 1 - start,
+                                     truncated=True))
+    return MobilityRun(world.kins, sprints)

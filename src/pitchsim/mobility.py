@@ -96,10 +96,6 @@ class PlayerKinematics:
     sprint_len: float = 0.0         # drawn length of the current/last sprint
     cumulative_km: float = 0.0
 
-    @property
-    def position(self) -> Point:
-        return Point(self.x, self.y)
-
 
 def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Random) -> None:
     # alternate walk and run; each run episode re-draws its own pace
@@ -141,9 +137,9 @@ def schedule_mode(k: PlayerKinematics, p: MobilityParams, dt: float,
     return k.mode
 
 
-def step_player(k: PlayerKinematics, ref: Point, field: FieldConfig,
+def step_player(k: PlayerKinematics, ref: GroupReference | Point, field: FieldConfig,
                 p: MobilityParams, dt: float, rng: random.Random) -> PlayerKinematics:
-    """Move one player toward its formation slot around the reference.
+    """Move one player toward its formation slot around ``(ref.x, ref.y)``.
 
     The target is ref + offset + a uniform draw from the deviation disc,
     clamped to the pitch; the move toward it is capped at the current
@@ -192,7 +188,7 @@ class GroupReference:
 
 
 def step_group_reference(g: GroupReference, field: FieldConfig, p: MobilityParams,
-                         dt: float, rng: random.Random) -> Point:
+                         dt: float, rng: random.Random) -> None:
     """Advance the reference toward its waypoint, redrawing on arrival."""
     cap = p.group_speed_kmh * KMH_TO_YDS * dt
     dx = g.waypoint_x - g.x
@@ -206,7 +202,6 @@ def step_group_reference(g: GroupReference, field: FieldConfig, p: MobilityParam
         scale = cap / dist
         g.x += dx * scale
         g.y += dy * scale
-    return Point(g.x, g.y)
 
 
 # One mirrored 1-4-4-2 slot template per team, in yards on the default

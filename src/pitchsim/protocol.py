@@ -64,10 +64,6 @@ class Route:
     def sink_id(self) -> int:
         return self.hops[-1].dst_sink
 
-    @property
-    def hop_distances(self) -> list[float]:
-        return [h.dist for h in self.hops]
-
 
 def thefame_route(player: PlayerKinematics, field: FieldConfig) -> Route:
     """Single hop from the player to its nearest sink."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, stability_period
@@ -182,23 +182,16 @@ def summarize(protocol: str, results: Sequence[MatchResult]) -> ProtocolSummary:
 
 
 def _summary_row(s: ProtocolSummary) -> list[str]:
-    return [s.protocol, str(s.runs), _cell(s.stability_period),
-            _cell(s.throughput), _cell(s.delivery), _cell(s.mean_delay_s),
-            str(s.sent_hops), str(s.sent_packets), str(s.received),
-            str(s.dropped), str(s.routing_failed), _cell(s.final_residual_j)]
+    return [_cell(v) for v in astuple(s)]
 
 
 def _delta_row(a: ProtocolSummary, b: ProtocolSummary) -> list[str]:
-    def diff(x, y):
-        return None if x is None or y is None else x - y
-    return ["delta", str(a.runs), _cell(diff(a.stability_period, b.stability_period)),
-            _cell(diff(a.throughput, b.throughput)),
-            _cell(diff(a.delivery, b.delivery)),
-            _cell(diff(a.mean_delay_s, b.mean_delay_s)),
-            str(a.sent_hops - b.sent_hops), str(a.sent_packets - b.sent_packets),
-            str(a.received - b.received), str(a.dropped - b.dropped),
-            str(a.routing_failed - b.routing_failed),
-            _cell(a.final_residual_j - b.final_residual_j)]
+    """``a`` minus ``b`` in every cell after ``runs``; blank where either
+    is undefined."""
+    _, runs, *xs = astuple(a)
+    _, _, *ys = astuple(b)
+    return ["delta", str(runs)] + [
+        _cell(None if x is None or y is None else x - y) for x, y in zip(xs, ys)]
 
 
 def write_summary(summaries: Sequence[ProtocolSummary], path: str) -> None:
@@ -218,7 +211,8 @@ def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> None:
         out = _writer(fh)
         out.writerow(PAIR_COLUMNS)
         for seed, s in rows:
-            out.writerow([str(seed)] + _summary_row(s)[:1] + _summary_row(s)[2:])
+            protocol, _, *cells = _summary_row(s)
+            out.writerow([str(seed), protocol, *cells])
 
 
 def write_trajectory(trajectory, path: str) -> None:

@@ -133,10 +133,10 @@ def test_criterion_2_channel_statistics():
 def test_criterion_3_mobility_calibration():
     with criterion("3 mobility calibration"):
         params = MobilityParams()
-        field = FieldConfig.six_sinks()
         distances, counts = [], []
         for seed in range(20):
-            run = simulate_mobility(params, field, 22, 5400, seed)
+            run = simulate_mobility(Scenario(mobility=params, players=22,
+                                             rounds=5400, seed=seed))
             per = {k.player_id: [] for k in run.players}
             for ep in run.sprints:
                 per[ep.player_id].append(ep)

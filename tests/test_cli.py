@@ -128,11 +128,12 @@ def test_compare_writes_paired_outputs(tmp_path):
 
 def test_paired_comparison_shares_trajectories(tmp_path):
     # same seed, different protocol: identical player movement
-    from pitchsim.engine import run_match
+    from pitchsim.engine import World, run_match
     from pitchsim.scenario import parse_scenario_text
     base = parse_scenario_text(FAST + "energy.initial_j = 5.0\n")
-    fame = run_match(base, record_trajectory=True)
-    wstm = run_match(base.with_protocol("wstm"), record_trajectory=True)
+    fame = run_match(base, world=World(base, record_trajectory=True))
+    wstm = run_match(base.with_protocol("wstm"),
+                     world=World(base.with_protocol("wstm"), record_trajectory=True))
     assert fame.trajectory == wstm.trajectory
 
 

@@ -31,9 +31,10 @@ def stress(**kwargs):
 
 def test_channel_settings_do_not_perturb_trajectories():
     # per-subsystem RNG streams: toggling the channel must leave movement alone
-    lossy = run_match(stress(rounds=300), record_trajectory=True)
-    ideal = run_match(stress(rounds=300, channel=ChannelParams(drop_probability=0.0)),
-                      record_trajectory=True)
+    def recorded(scenario):
+        return run_match(scenario, world=World(scenario, record_trajectory=True))
+    lossy = recorded(stress(rounds=300))
+    ideal = recorded(stress(rounds=300, channel=ChannelParams(drop_probability=0.0)))
     assert lossy.trajectory == ideal.trajectory
     assert lossy.metrics.total("hop_drops") > 0
     assert ideal.metrics.total("hop_drops") == 0
@@ -74,15 +75,18 @@ def test_single_event_debits_exactly_one_battery_by_direct_tx_amount():
     radio = scenario.radio
     field = sim.field
     for pid in fired:
-        kin = sim.nodes[pid].kin  # routing ran after this round's movement
-        from pitchsim.geometry import nearest_sink
-        _, dist = nearest_sink(kin.position, field)
+        kin = sim.kins[pid]  # routing ran after this round's movement
+        from pitchsim.geometry import Point, nearest_sink
+        _, dist = nearest_sink(Point(kin.x, kin.y), field)
         expected = direct_tx_energy(radio, radio.packet_bits, dist)
         assert debited[pid] == [expected]
 
 
 def test_packet_conservation_both_protocols():
-    for scenario in (stress(rounds=600), small("wstm", rounds=600)):
+    # at 0.002 J a relay's receive can kill it, so a later hop of the
+    # same packet finds its sender dead
+    for scenario in (stress(rounds=600), small("wstm", rounds=600),
+                     small("wstm", rounds=300, initial_energy_j=0.002)):
         m = run_match(scenario).metrics
         for rec in m.rounds:
             assert rec.received + rec.hop_drops + rec.routing_failures == rec.triggered
@@ -193,15 +197,14 @@ def test_feed_is_time_ordered_in_real_runs():
 
 def test_simulate_mobility_ends_where_the_match_does():
     scenario = small("wstm", rounds=300, initial_energy_j=1000.0)
-    sim = MatchSim(scenario, record_trajectory=True)
+    sim = MatchSim(scenario, World(scenario, record_trajectory=True))
     result = sim.run()
     assert not result.metrics.deaths
     last = {pid: (x, y) for t, pid, x, y, _ in result.trajectory
             if t == scenario.rounds}
     # the world moves the players; a node's kin only holds routing positions
     match_end = [(*last[k.player_id], k.cumulative_km) for k in sim.world.kins]
-    alone = simulate_mobility(scenario.mobility, sim.field, scenario.players,
-                              scenario.rounds, scenario.seed)
+    alone = simulate_mobility(scenario)
     assert [(k.x, k.y, k.cumulative_km) for k in alone.players] == match_end
 
 
@@ -227,7 +230,7 @@ def test_alive_list_equals_a_fresh_recount_every_round():
         rec = sim.run_round()
         if len(sim.metrics.deaths) > before:
             died_in.add(rec.round)
-        recount = [n.kin for n in sim.nodes if not n.battery.dead]
+        recount = [k for k, b in zip(sim.kins, sim.batteries) if not b.dead]
         assert sim.alive_count() == len(recount)
         assert len(sim.alive) == len(recount)
         assert all(a is b for a, b in zip(sim.alive, recount))

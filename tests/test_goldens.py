@@ -94,9 +94,7 @@ MOBILITY_RUN_DIGEST = "78411694b62fff5aab6bb6f3555601690370aacab0a28ff762ed0977c
 
 def test_simulate_mobility_matches_golden():
     from pitchsim.engine import simulate_mobility
-    from pitchsim.geometry import FieldConfig
-    from pitchsim.mobility import MobilityParams
-    run = simulate_mobility(MobilityParams(), FieldConfig.six_sinks(), 22, 600, 5)
+    run = simulate_mobility(MODULES["scenario"].Scenario(players=22, rounds=600, seed=5))
     finals = [(k.x, k.y, k.cumulative_km) for k in run.players]
     sprints = [dataclasses.astuple(ep) for ep in run.sprints]
     assert any(ep[-1] for ep in sprints) and len(sprints) > 22

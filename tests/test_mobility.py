@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, GroupReference,
                                MobilityParams, PlayerKinematics, SpeedMode,
                                formation_offsets, make_players, schedule_mode,
                                step_group_reference, step_player)
+from pitchsim.scenario import Scenario
 
 FIELD = FieldConfig.six_sinks()
 PARAMS = MobilityParams()
@@ -64,10 +67,10 @@ def test_cumulative_distance_matches_independent_accumulator():
     total = 0.0
     group = GroupReference.centered(FIELD)
     for _ in range(1000):
-        ref = step_group_reference(group, FIELD, PARAMS, 1.0, rng)
+        step_group_reference(group, FIELD, PARAMS, 1.0, rng)
         schedule_mode(k, PARAMS, 1.0, sched)
         x0, y0 = k.x, k.y
-        step_player(k, ref, FIELD, PARAMS, 1.0, rng)
+        step_player(k, group, FIELD, PARAMS, 1.0, rng)
         total += math.hypot(k.x - x0, k.y - y0) * KM_PER_YARD
     assert k.cumulative_km == pytest.approx(total, rel=1e-12)
 
@@ -75,8 +78,8 @@ def test_cumulative_distance_matches_independent_accumulator():
 def test_group_reference_zero_speed_static():
     params = MobilityParams(group_speed_kmh=0.0)
     g = GroupReference(30.0, 30.0, 90.0, 50.0)
-    p = step_group_reference(g, FIELD, params, 1.0, random.Random(0))
-    assert p == Point(30.0, 30.0)
+    step_group_reference(g, FIELD, params, 1.0, random.Random(0))
+    assert (g.x, g.y) == (30.0, 30.0)
 
 
 def test_group_reference_speed_cap_and_bounds():
@@ -85,9 +88,9 @@ def test_group_reference_speed_cap_and_bounds():
     cap = PARAMS.group_speed_kmh * KMH_TO_YDS
     for _ in range(2000):
         x0, y0 = g.x, g.y
-        p = step_group_reference(g, FIELD, PARAMS, 1.0, rng)
-        assert math.hypot(p.x - x0, p.y - y0) <= cap * (1 + 1e-12)
-        assert 0.0 <= p.x <= FIELD.length and 0.0 <= p.y <= FIELD.width
+        step_group_reference(g, FIELD, PARAMS, 1.0, rng)
+        assert math.hypot(g.x - x0, g.y - y0) <= cap * (1 + 1e-12)
+        assert 0.0 <= g.x <= FIELD.length and 0.0 <= g.y <= FIELD.width
 
 
 def test_zero_sprint_rate_never_sprints():
@@ -108,7 +111,7 @@ def test_sprint_hazard_follows_the_params_it_was_built_from():
 
 
 def test_sprint_durations_and_recovery():
-    run = simulate_mobility(PARAMS, FIELD, 4, 5400, seed=9)
+    run = simulate_mobility(Scenario(players=4, rounds=5400, seed=9))
     by_player = {}
     for ep in run.sprints:
         by_player.setdefault(ep.player_id, []).append(ep)
@@ -127,7 +130,7 @@ def test_sprint_durations_and_recovery():
 def test_sprint_counts_near_expected():
     counts = []
     for seed in (0, 1):
-        run = simulate_mobility(PARAMS, FIELD, 22, 5400, seed)
+        run = simulate_mobility(Scenario(players=22, rounds=5400, seed=seed))
         per = {}
         for ep in run.sprints:
             per[ep.player_id] = per.get(ep.player_id, 0) + 1
@@ -153,8 +156,8 @@ def test_run_speed_drawn_within_band():
 
 
 def test_fixed_seed_bitwise_identical_trajectory():
-    a = simulate_mobility(PARAMS, FIELD, 22, 400, seed=123)
-    b = simulate_mobility(PARAMS, FIELD, 22, 400, seed=123)
+    a = simulate_mobility(Scenario(players=22, rounds=400, seed=123))
+    b = simulate_mobility(Scenario(players=22, rounds=400, seed=123))
     for ka, kb in zip(a.players, b.players):
         assert (ka.x, ka.y, ka.cumulative_km) == (kb.x, kb.y, kb.cumulative_km)
     assert a.sprints == b.sprints
@@ -163,7 +166,7 @@ def test_fixed_seed_bitwise_identical_trajectory():
 def test_full_match_distance_band():
     # default parameters target slightly over 11 km per 90-minute match
     for seed in (0, 1):
-        run = simulate_mobility(PARAMS, FIELD, 22, 5400, seed)
+        run = simulate_mobility(Scenario(players=22, rounds=5400, seed=seed))
         for k in run.players:
             assert 9.0 <= k.cumulative_km <= 13.0
 
@@ -193,3 +196,15 @@ def test_params_validation():
         MobilityParams(sprint_min_s=0)
     with pytest.raises(ValueError):
         MobilityParams(sprints_per_match=2000.0)  # cannot fit in a match
+
+
+def test_calibration_script_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_mobility.py"
+    spec = importlib.util.spec_from_file_location("calibrate_mobility", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--seeds", "1", "--rounds", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seeds=1 players=22 rounds=200"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "distance km", "crossed 11 km", "sprints per player"]

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pitchsim.engine import run_match
 from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
-from pitchsim.report import (ReportRow, UndefinedThroughputError, build_rows,
+from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary, ReportRow,
+                             UndefinedThroughputError, build_rows,
                              read_timeseries, summarize, throughput_pct,
                              write_events, write_summary, write_timeseries)
 from pitchsim.scenario import Scenario
@@ -107,6 +110,8 @@ def test_summary_shape_two_rows_plus_delta(tmp_path):
     write_summary([fame, wstm], path)
     lines = open(path).read().splitlines()
     assert len(lines) == 4  # header + 2 protocols + delta
+    # the rows are the summary's fields in order, one cell each
+    assert len(dataclasses.fields(ProtocolSummary)) == len(SUMMARY_COLUMNS)
     assert lines[1].startswith("thefame,")
     assert lines[2].startswith("wstm,")
     assert lines[3].startswith("delta,")
