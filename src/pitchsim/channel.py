@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .geometry import METERS_PER_YARD
+
 if TYPE_CHECKING:
     from .protocol import Route
 
-SPEED_OF_LIGHT_YDS = 299_792_458.0 / 0.9144
+SPEED_OF_LIGHT_YDS = 299_792_458.0 / METERS_PER_YARD
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ routing, per-hop channel trials with energy debits, metrics recording.
 Accounting is two-level. Hop level: every hop attempt is one send and
 ends as either a hop delivery or a drop. Packet level: every triggered
 packet ends in exactly one of delivered (reached a sink), dropped (a
-hop lost it), or routing-failed (no route, or a node on the route was
-already dead when its turn came).
+hop lost it), or routing-failed (no route, which includes an origin
+that died earlier in the round, or a relay drained by its own receive,
+which cannot forward).
 
 A round is two passes. The world pass (``World.advance``) moves every
 player, steps their lactate and checks every fatigue monitor. It draws
@@ -102,20 +103,12 @@ class MetricsLog:
     deaths: list[tuple[int, int]] = field(default_factory=list)   # (player_id, round)
     debits: dict[int, list[float]] = field(default_factory=dict)  # applied, in order
 
-    def total(self, name: str) -> int:
+    def total(self, name: str) -> int | float:
         return sum(getattr(r, name) for r in self.rounds)
 
-    @property
-    def total_delay_sum(self) -> float:
-        return sum(r.delay_sum for r in self.rounds)
-
-    @property
-    def total_delay_count(self) -> int:
-        return sum(r.delay_count for r in self.rounds)
-
     def mean_delay(self) -> float | None:
-        n = self.total_delay_count
-        return self.total_delay_sum / n if n else None
+        n = self.total("delay_count")
+        return self.total("delay_sum") / n if n else None
 
 
 def stability_period(log: MetricsLog) -> int | None:
@@ -310,8 +303,7 @@ class MatchSim:
                 rec.delay_sum += delay
                 rec.delay_count += 1
                 return
-            if batteries[hop.dst_player].dead:
-                break
+            # alive: routed over self.alive, and sink distance strictly falls per hop
             self._debit(hop.dst_player, relay_rx_energy(self.radio, packet.size_bits),
                         rec.round)
             # a relay drained to zero by the receive cannot forward; the

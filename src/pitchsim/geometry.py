@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 METERS_PER_YARD = 0.9144
-YARDS_PER_METER = 1.0 / METERS_PER_YARD
 
 
 class EmptySinkSetError(ValueError):

@@ -20,10 +20,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import FieldConfig, Point, clamp_to_field
+from .geometry import METERS_PER_YARD, FieldConfig, Point, clamp_to_field
 
-KMH_TO_YDS = (1000.0 / 0.9144) / 3600.0   # km/h -> yd/s
-KM_PER_YARD = 0.9144 / 1000.0
+KMH_TO_YDS = (1000.0 / METERS_PER_YARD) / 3600.0   # km/h -> yd/s
+KM_PER_YARD = METERS_PER_YARD / 1000.0
 
 TWO_PI = 2.0 * math.pi
 

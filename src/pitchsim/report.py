@@ -10,10 +10,11 @@ send counted as a transmission, while ``delivery_pct`` is end-to-end
 (packets reaching a sink over packets that left their origin). For a
 single-hop protocol the two coincide.
 
-CSV conventions: RFC 4180 quoting, LF line endings, ``.`` decimal
-separator, floats via ``repr`` so parsing a file back reproduces the
-values exactly. Undefined ratios are written as blank cells, never as
-0 or 100.
+CSV conventions are the csv module's, with LF line endings: RFC 4180
+quoting, ``.`` decimal separator, ``None`` as a blank cell and floats
+via ``repr``, so parsing a file back reproduces the values exactly.
+Rows go to the writer as they are, with no per-cell conversion.
+Undefined ratios are ``None`` and so blank, never 0 or 100.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import astuple, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, stability_period
 from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
@@ -32,9 +33,7 @@ SUMMARY_COLUMNS = ["protocol", "runs", "stability_period", "throughput_pct",
                    "delivery_pct", "mean_delay_s", "sent_hops", "sent_packets",
                    "received", "dropped", "routing_failed", "final_residual_J"]
 EVENT_COLUMNS = ["player_id", "time_s", "cause", "value", "value_mgdl"]
-PAIR_COLUMNS = ["seed", "protocol", "stability_period", "throughput_pct",
-                "delivery_pct", "mean_delay_s", "sent_hops", "sent_packets",
-                "received", "dropped", "routing_failed", "final_residual_J"]
+PAIR_COLUMNS = ["seed", SUMMARY_COLUMNS[0], *SUMMARY_COLUMNS[2:]]
 
 
 class UndefinedThroughputError(ValueError):
@@ -51,8 +50,7 @@ def throughput_pct(received: int, transmitted: int) -> float:
     return 100.0 * received / transmitted
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     round: int
     alive: int
     sent_cum: int
@@ -82,26 +80,16 @@ def build_rows(log: MetricsLog) -> list[ReportRow]:
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def write_timeseries(rows: Sequence[ReportRow], path: str) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(TIMESERIES_COLUMNS)
-        for r in rows:
-            out.writerow([r.round, r.alive, r.sent_cum, r.dropped_cum,
-                          r.received_cum, _cell(r.residual_total_j),
-                          _cell(r.mean_delay_s)])
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+    return path
+
+
+def write_timeseries(rows: Sequence[ReportRow], path: str) -> str:
+    return _write_csv(path, TIMESERIES_COLUMNS, rows)
 
 
 def read_timeseries(path: str) -> list[ReportRow]:
@@ -122,14 +110,11 @@ def read_timeseries(path: str) -> list[ReportRow]:
     return rows
 
 
-def write_events(events: Sequence[FatigueEvent], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(EVENT_COLUMNS)
-        for ev in events:
-            mgdl = ev.value * MGDL_PER_MMOL_L if ev.cause is FatigueCause.LACTATE else None
-            out.writerow([ev.player_id, _cell(float(ev.time)), ev.cause.value,
-                          _cell(ev.value), _cell(mgdl)])
+def write_events(events: Sequence[FatigueEvent], path: str) -> str:
+    return _write_csv(path, EVENT_COLUMNS, (
+        (ev.player_id, float(ev.time), ev.cause.value, ev.value,
+         ev.value * MGDL_PER_MMOL_L if ev.cause is FatigueCause.LACTATE else None)
+        for ev in events))
 
 
 @dataclass(frozen=True)
@@ -154,8 +139,8 @@ def summarize(protocol: str, results: Sequence[MatchResult]) -> ProtocolSummary:
     received = sum(r.metrics.total("received") for r in results)
     dropped = sum(r.metrics.total("hop_drops") for r in results)
     failed = sum(r.metrics.total("routing_failures") for r in results)
-    delay_sum = sum(r.metrics.total_delay_sum for r in results)
-    delay_count = sum(r.metrics.total_delay_count for r in results)
+    delay_sum = sum(r.metrics.total("delay_sum") for r in results)
+    delay_count = sum(r.metrics.total("delay_count") for r in results)
     stabilities = [stability_period(r.metrics) for r in results]
     deaths = [s for s in stabilities if s is not None]
 
@@ -181,77 +166,49 @@ def summarize(protocol: str, results: Sequence[MatchResult]) -> ProtocolSummary:
     )
 
 
-def _summary_row(s: ProtocolSummary) -> list[str]:
-    return [_cell(v) for v in astuple(s)]
-
-
-def _delta_row(a: ProtocolSummary, b: ProtocolSummary) -> list[str]:
-    """``a`` minus ``b`` in every cell after ``runs``; blank where either
+def _delta_row(a: ProtocolSummary, b: ProtocolSummary) -> list:
+    """``a`` minus ``b`` in every cell after ``runs``; None where either
     is undefined."""
     _, runs, *xs = astuple(a)
     _, _, *ys = astuple(b)
-    return ["delta", str(runs)] + [
-        _cell(None if x is None or y is None else x - y) for x, y in zip(xs, ys)]
+    return ["delta", runs] + [
+        None if x is None or y is None else x - y for x, y in zip(xs, ys)]
 
 
-def write_summary(summaries: Sequence[ProtocolSummary], path: str) -> None:
+def write_summary(summaries: Sequence[ProtocolSummary], path: str) -> str:
     """One row per protocol; paired summaries get a fame-minus-wstm delta row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(SUMMARY_COLUMNS)
-        for s in summaries:
-            out.writerow(_summary_row(s))
-        if len(summaries) == 2:
-            out.writerow(_delta_row(summaries[0], summaries[1]))
+    rows = [astuple(s) for s in summaries]
+    if len(summaries) == 2:
+        rows.append(_delta_row(summaries[0], summaries[1]))
+    return _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
-def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> None:
+def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
     """Per-seed breakdown of a multi-seed comparison."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(PAIR_COLUMNS)
-        for seed, s in rows:
-            protocol, _, *cells = _summary_row(s)
-            out.writerow([str(seed), protocol, *cells])
-
-
-def write_trajectory(trajectory, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(["player_id", "t", "x", "y", "mode"])
-        for t, pid, x, y, mode in trajectory:
-            out.writerow([pid, t, _cell(x), _cell(y), mode])
-
-
-def write_lactate_trace(trace, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = _writer(fh)
-        out.writerow(["player_id", "t", "lactate_mmol_l"])
-        for t, pid, level in trace:
-            out.writerow([pid, t, _cell(level)])
+    return _write_csv(path, PAIR_COLUMNS, (
+        (seed, s.protocol, *astuple(s)[2:]) for seed, s in rows))
 
 
 def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
     """Write timeseries, events, and a one-row summary for a single run."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    ts = os.path.join(out_dir, "timeseries.csv")
-    write_timeseries(build_rows(result.metrics), ts)
-    paths.append(ts)
-    ev = os.path.join(out_dir, "events.csv")
-    write_events(result.events, ev)
-    paths.append(ev)
-    sm = os.path.join(out_dir, "summary.csv")
-    write_summary([summarize(result.scenario.protocol, [result])], sm)
-    paths.append(sm)
+    paths = [
+        write_timeseries(build_rows(result.metrics),
+                         os.path.join(out_dir, "timeseries.csv")),
+        write_events(result.events, os.path.join(out_dir, "events.csv")),
+        write_summary([summarize(result.scenario.protocol, [result])],
+                      os.path.join(out_dir, "summary.csv")),
+    ]
     if result.trajectory:
-        tr = os.path.join(out_dir, "trajectory.csv")
-        write_trajectory(result.trajectory, tr)
-        paths.append(tr)
+        paths.append(_write_csv(
+            os.path.join(out_dir, "trajectory.csv"),
+            ["player_id", "t", "x", "y", "mode"],
+            ((pid, t, x, y, mode) for t, pid, x, y, mode in result.trajectory)))
     if result.lactate_trace:
-        lt = os.path.join(out_dir, "lactate.csv")
-        write_lactate_trace(result.lactate_trace, lt)
-        paths.append(lt)
+        paths.append(_write_csv(
+            os.path.join(out_dir, "lactate.csv"),
+            ["player_id", "t", "lactate_mmol_l"],
+            ((pid, t, level) for t, pid, level in result.lactate_trace)))
     return paths
 
 
@@ -266,12 +223,8 @@ def emit_comparison_reports(fame_runs: Sequence[tuple[int, MatchResult]],
         paths.extend(emit_run_reports(result, sub))
     fame = summarize("thefame", [r for _, r in fame_runs])
     wstm = summarize("wstm", [r for _, r in wstm_runs])
-    sm = os.path.join(out_dir, "summary.csv")
-    write_summary([fame, wstm], sm)
-    paths.append(sm)
+    paths.append(write_summary([fame, wstm], os.path.join(out_dir, "summary.csv")))
     pair_rows = ([(seed, summarize("thefame", [r])) for seed, r in fame_runs]
                  + [(seed, summarize("wstm", [r])) for seed, r in wstm_runs])
-    pr = os.path.join(out_dir, "pairs.csv")
-    write_pairs(pair_rows, pr)
-    paths.append(pr)
+    paths.append(write_pairs(pair_rows, os.path.join(out_dir, "pairs.csv")))
     return paths

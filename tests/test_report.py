@@ -114,7 +114,19 @@ def test_summary_shape_two_rows_plus_delta(tmp_path):
     assert len(dataclasses.fields(ProtocolSummary)) == len(SUMMARY_COLUMNS)
     assert lines[1].startswith("thefame,")
     assert lines[2].startswith("wstm,")
-    assert lines[3].startswith("delta,")
+    header, fame_row, wstm_row, delta = (line.split(",") for line in lines)
+    assert delta[0] == "delta"
+    assert delta[1] == fame_row[1] == "1"
+    assert fame_row[2] == "" and wstm_row[2] == "10.0"  # blank on one side
+
+    def value(cell):
+        return int(cell) if cell.lstrip("-").isdigit() else float(cell)
+
+    for name, a, b, d in zip(header[2:], fame_row[2:], wstm_row[2:], delta[2:]):
+        if a == "" or b == "":
+            assert d == "", name
+        else:
+            assert d == str(value(a) - value(b)), name
 
 
 def test_summary_blank_throughput_when_nothing_sent(tmp_path):
