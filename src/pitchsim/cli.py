@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
     last = result.metrics.rounds[-1]
     print(f"{scenario.protocol} seed={scenario.seed}: "
           f"{len(result.metrics.rounds)} rounds, alive={last.alive}, "
-          f"delivered={result.metrics.total('received')}")
+          f"delivered={result.metrics.totals().received}")
     for p in paths:
         print(f"  wrote {p}")
     return EXIT_OK
@@ -106,14 +106,11 @@ def _cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"pitchsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    fame_runs = []
-    wstm_runs = []
-    for seed in seeds:
-        fame, wstm = _paired_runs(scenario.with_seed(seed))
-        fame_runs.append((seed, fame))
-        wstm_runs.append((seed, wstm))
+    # every seed is validated before the first file is written
+    scenarios = [(seed, scenario.with_seed(seed)) for seed in seeds]
     out_dir = args.out or _default_out()
-    paths = emit_comparison_reports(fame_runs, wstm_runs, out_dir)
+    paths = emit_comparison_reports(
+        ((seed, *_paired_runs(s)) for seed, s in scenarios), out_dir)
     print(f"compared {len(seeds)} paired seeds ({2 * len(seeds)} runs)")
     print(f"  wrote {paths[-2]}")
     print(f"  wrote {paths[-1]}")

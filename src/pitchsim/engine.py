@@ -10,7 +10,8 @@ ends as either a hop delivery or a drop. Packet level: every triggered
 packet ends in exactly one of delivered (reached a sink), dropped (a
 hop lost it), or routing-failed (no route, which includes an origin
 that died earlier in the round, or a relay drained by its own receive,
-which cannot forward).
+which cannot forward). ``MetricsLog.totals`` is the one way to total a
+run: one walk over its rounds, in order, sums every counter.
 
 A round is two passes. The world pass (``World.advance``) moves every
 player, steps their lactate and checks every fatigue monitor. It draws
@@ -54,6 +55,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .channel import propagation_delay, transmit_hop
 from .energy import Battery, direct_tx_energy, relay_rx_energy
@@ -82,7 +84,20 @@ class RoundRecord:
     triggered: int = 0
     residual_j: float = 0.0
     delay_sum: float = 0.0
-    delay_count: int = 0
+
+
+class RunTotals(NamedTuple):
+    """One run's tally: its counters summed over its rounds, its first
+    death (``stability_period``) and its final residual energy."""
+    hop_sends: int
+    hop_drops: int
+    origin_sends: int
+    received: int            # also the number of delays in delay_sum
+    routing_failures: int
+    triggered: int
+    delay_sum: float
+    first_death: int | None
+    final_residual_j: float
 
 
 @dataclass(frozen=True)
@@ -103,12 +118,20 @@ class MetricsLog:
     deaths: list[tuple[int, int]] = field(default_factory=list)   # (player_id, round)
     debits: dict[int, list[float]] = field(default_factory=dict)  # applied, in order
 
-    def total(self, name: str) -> int | float:
-        return sum(getattr(r, name) for r in self.rounds)
-
-    def mean_delay(self) -> float | None:
-        n = self.total("delay_count")
-        return self.total("delay_sum") / n if n else None
+    def totals(self) -> RunTotals:
+        """The run's tally, every counter summed in one walk in round order."""
+        sends = drops = origin_sends = received = failures = triggered = 0
+        delay_sum = 0.0
+        for r in self.rounds:
+            sends += r.hop_sends
+            drops += r.hop_drops
+            origin_sends += r.origin_sends
+            received += r.received
+            failures += r.routing_failures
+            triggered += r.triggered
+            delay_sum += r.delay_sum
+        return RunTotals(sends, drops, origin_sends, received, failures, triggered,
+                         delay_sum, stability_period(self), self.rounds[-1].residual_j)
 
 
 def stability_period(log: MetricsLog) -> int | None:
@@ -301,7 +324,6 @@ class MatchSim:
                     round=rec.round, delay=delay))
                 rec.received += 1
                 rec.delay_sum += delay
-                rec.delay_count += 1
                 return
             # alive: routed over self.alive, and sink distance strictly falls per hop
             self._debit(hop.dst_player, relay_rx_energy(self.radio, packet.size_bits),

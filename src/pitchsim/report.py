@@ -3,6 +3,9 @@
 Three files per run: ``timeseries.csv`` (one row per round, cumulative
 counters), ``events.csv`` (the fatigue log), and ``summary.csv``
 (per-protocol totals plus a delta row for paired comparisons).
+Summaries pool per-run tallies (``RunTotals``), never round logs, so a
+comparison writes each pair's run reports as the pair arrives and keeps
+only its tallies: its memory does not grow with the seed count.
 
 Counters come at two levels and both are reported: ``throughput_pct``
 follows the received-over-transmitted definition with every per-hop
@@ -24,7 +27,7 @@ import os
 from dataclasses import astuple, dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .engine import MatchResult, MetricsLog, stability_period
+from .engine import MatchResult, MetricsLog, RunTotals
 from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
 
 TIMESERIES_COLUMNS = ["round", "alive", "sent_cum", "dropped_cum",
@@ -64,18 +67,17 @@ def build_rows(log: MetricsLog) -> list[ReportRow]:
     """Cumulative per-round report rows from a metrics log."""
     rows = []
     sent = dropped = received = 0
-    delay_sum, delay_count = 0.0, 0
+    delay_sum = 0.0
     for rec in log.rounds:
         sent += rec.hop_sends
         dropped += rec.hop_drops
         received += rec.received
         delay_sum += rec.delay_sum
-        delay_count += rec.delay_count
         rows.append(ReportRow(
             round=rec.round, alive=rec.alive, sent_cum=sent,
             dropped_cum=dropped, received_cum=received,
             residual_total_j=rec.residual_j,
-            mean_delay_s=delay_sum / delay_count if delay_count else None,
+            mean_delay_s=delay_sum / received if received else None,
         ))
     return rows
 
@@ -133,16 +135,13 @@ class ProtocolSummary:
     final_residual_j: float             # mean over runs
 
 
-def summarize(protocol: str, results: Sequence[MatchResult]) -> ProtocolSummary:
-    sent_hops = sum(r.metrics.total("hop_sends") for r in results)
-    sent_packets = sum(r.metrics.total("origin_sends") for r in results)
-    received = sum(r.metrics.total("received") for r in results)
-    dropped = sum(r.metrics.total("hop_drops") for r in results)
-    failed = sum(r.metrics.total("routing_failures") for r in results)
-    delay_sum = sum(r.metrics.total("delay_sum") for r in results)
-    delay_count = sum(r.metrics.total("delay_count") for r in results)
-    stabilities = [stability_period(r.metrics) for r in results]
-    deaths = [s for s in stabilities if s is not None]
+def summarize(protocol: str, runs: Sequence[RunTotals]) -> ProtocolSummary:
+    """Pool per-run tallies; float sums add the runs' values in run order."""
+    sent_hops = sum(t.hop_sends for t in runs)
+    sent_packets = sum(t.origin_sends for t in runs)
+    received = sum(t.received for t in runs)
+    delay_sum = sum(t.delay_sum for t in runs)
+    deaths = [t.first_death for t in runs if t.first_death is not None]
 
     def ratio(num, den):
         try:
@@ -152,17 +151,17 @@ def summarize(protocol: str, results: Sequence[MatchResult]) -> ProtocolSummary:
 
     return ProtocolSummary(
         protocol=protocol,
-        runs=len(results),
+        runs=len(runs),
         stability_period=sum(deaths) / len(deaths) if deaths else None,
         throughput=ratio(received, sent_hops),
         delivery=ratio(received, sent_packets),
-        mean_delay_s=delay_sum / delay_count if delay_count else None,
+        mean_delay_s=delay_sum / received if received else None,
         sent_hops=sent_hops,
         sent_packets=sent_packets,
         received=received,
-        dropped=dropped,
-        routing_failed=failed,
-        final_residual_j=sum(r.metrics.rounds[-1].residual_j for r in results) / len(results),
+        dropped=sum(t.hop_drops for t in runs),
+        routing_failed=sum(t.routing_failures for t in runs),
+        final_residual_j=sum(t.final_residual_j for t in runs) / len(runs),
     )
 
 
@@ -196,7 +195,7 @@ def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
         write_timeseries(build_rows(result.metrics),
                          os.path.join(out_dir, "timeseries.csv")),
         write_events(result.events, os.path.join(out_dir, "events.csv")),
-        write_summary([summarize(result.scenario.protocol, [result])],
+        write_summary([summarize(result.scenario.protocol, [result.metrics.totals()])],
                       os.path.join(out_dir, "summary.csv")),
     ]
     if result.trajectory:
@@ -212,19 +211,26 @@ def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
     return paths
 
 
-def emit_comparison_reports(fame_runs: Sequence[tuple[int, MatchResult]],
-                            wstm_runs: Sequence[tuple[int, MatchResult]],
+def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]],
                             out_dir: str) -> list[str]:
-    """Write per-run reports plus pooled summary and per-seed pairs."""
+    """Write each ``(seed, thefame result, wstm result)`` pair's run reports
+    as the pair arrives, keeping only its runs' totals; then the pooled
+    summary and the per-seed pairs from those totals."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for seed, result in list(fame_runs) + list(wstm_runs):
-        sub = os.path.join(out_dir, f"{result.scenario.protocol}-seed{seed:03d}")
-        paths.extend(emit_run_reports(result, sub))
-    fame = summarize("thefame", [r for _, r in fame_runs])
-    wstm = summarize("wstm", [r for _, r in wstm_runs])
-    paths.append(write_summary([fame, wstm], os.path.join(out_dir, "summary.csv")))
-    pair_rows = ([(seed, summarize("thefame", [r])) for seed, r in fame_runs]
-                 + [(seed, summarize("wstm", [r])) for seed, r in wstm_runs])
-    paths.append(write_pairs(pair_rows, os.path.join(out_dir, "pairs.csv")))
+    kept = {"thefame": [], "wstm": []}   # protocol -> [(seed, RunTotals)]
+    for seed, *results in pairs:
+        for result in results:
+            protocol = result.scenario.protocol
+            sub = os.path.join(out_dir, f"{protocol}-seed{seed:03d}")
+            paths.extend(emit_run_reports(result, sub))
+            kept[protocol].append((seed, result.metrics.totals()))
+        # resuming ``pairs`` runs the next pair: hold nothing of this one
+        del results, result
+    paths.append(write_summary(
+        [summarize(p, [t for _, t in runs]) for p, runs in kept.items()],
+        os.path.join(out_dir, "summary.csv")))
+    paths.append(write_pairs(
+        [(seed, summarize(p, [t])) for p, runs in kept.items() for seed, t in runs],
+        os.path.join(out_dir, "pairs.csv")))
     return paths

@@ -24,7 +24,7 @@ from pitchsim.engine import run_match, simulate_mobility, stability_period
 from pitchsim.geometry import FieldConfig, Point, distance
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
-from pitchsim.report import throughput_pct
+from pitchsim.report import summarize, throughput_pct
 from pitchsim.scenario import Scenario
 from pitchsim.seeding import stream
 
@@ -120,9 +120,9 @@ def test_criterion_2_channel_statistics():
 
         sent = received = 0
         for seed in range(8):
-            m = run_match(high_rate_scenario(seed)).metrics
-            sent += m.total("origin_sends")
-            received += m.total("received")
+            totals = run_match(high_rate_scenario(seed)).metrics.totals()
+            sent += totals.origin_sends
+            received += totals.received
         assert sent >= 15_000, f"only {sent} packets; widen the seed pool"
         delivery = received / sent
         assert 0.69 <= delivery <= 0.71, f"end-to-end delivery {delivery}"
@@ -188,8 +188,8 @@ def test_criterion_4a_wstm_death_window(paired_runs):
 def test_criterion_4b_transmission_totals(paired_runs):
     with criterion("4b baseline sends more per-hop transmissions"):
         fame, wstm = paired_runs
-        fame_total = sum(r.metrics.total("hop_sends") for r in fame)
-        wstm_total = sum(r.metrics.total("hop_sends") for r in wstm)
+        fame_total = sum(r.metrics.totals().hop_sends for r in fame)
+        wstm_total = sum(r.metrics.totals().hop_sends for r in wstm)
         assert wstm_total > fame_total, (wstm_total, fame_total)
 
 
@@ -197,7 +197,8 @@ def test_criterion_4c_delay_ordering(paired_runs):
     with criterion("4c baseline mean delay higher in 10/10 pairs"):
         fame, wstm = paired_runs
         for f, w in zip(fame, wstm):
-            fd, wd = f.metrics.mean_delay(), w.metrics.mean_delay()
+            fd, wd = (summarize(r.scenario.protocol, [r.metrics.totals()]).mean_delay_s
+                      for r in (f, w))
             assert fd is not None and wd is not None
             assert wd > fd, (wd, fd)
 
@@ -213,10 +214,10 @@ def test_criterion_4d_residual_energy_dominance(paired_runs):
 def test_criterion_4e_delivery_gap(paired_runs):
     with criterion("4e end-to-end delivery gap >= 5 points"):
         fame, wstm = paired_runs
-        fd = (sum(r.metrics.total("received") for r in fame)
-              / sum(r.metrics.total("origin_sends") for r in fame))
-        wd = (sum(r.metrics.total("received") for r in wstm)
-              / sum(r.metrics.total("origin_sends") for r in wstm))
+        fd = (sum(r.metrics.totals().received for r in fame)
+              / sum(r.metrics.totals().origin_sends for r in fame))
+        wd = (sum(r.metrics.totals().received for r in wstm)
+              / sum(r.metrics.totals().origin_sends for r in wstm))
         assert (fd - wd) * 100.0 >= 5.0, (fd, wd)
 
 

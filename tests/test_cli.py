@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +154,37 @@ def test_compare_moves_the_players_once_per_seed(tmp_path, monkeypatch):
     assert main(["compare", "--scenario", scenario, "--seeds", "0..1",
                  "--out", str(tmp_path / "cmp")]) == EXIT_OK
     assert len(calls) == 2 * 200
+
+
+def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    # "--seeds -1..0" would parse as an unknown flag; "=" passes the value
+    assert main(["compare", "--scenario", write(tmp_path, FAST), "--seeds=-1..0",
+                 "--out", str(out)]) == EXIT_INVALID
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_memory_does_not_grow_with_the_seed_count(tmp_path):
+    # each pair's reports are written as it finishes and only its totals
+    # are kept, so four seeds peak about where one does
+    preset = Path(__file__).resolve().parents[1] / "scenarios" / "high-rate.cfg"
+    scenario = write(tmp_path, preset.read_text() + "rounds = 1000\n")
+
+    def compare(seeds):
+        return main(["compare", "--scenario", scenario, "--seeds", seeds,
+                     "--out", str(tmp_path / seeds)])
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            assert compare(seeds) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # untraced first run: one-time allocations (lazy imports, caches) land
+    # outside both measurements
+    assert compare("0") == EXIT_OK
+    one, four = peak("0"), peak("0..3")
+    assert four <= 1.5 * one, (four, one)

@@ -36,8 +36,8 @@ def test_channel_settings_do_not_perturb_trajectories():
     lossy = recorded(stress(rounds=300))
     ideal = recorded(stress(rounds=300, channel=ChannelParams(drop_probability=0.0)))
     assert lossy.trajectory == ideal.trajectory
-    assert lossy.metrics.total("hop_drops") > 0
-    assert ideal.metrics.total("hop_drops") == 0
+    assert lossy.metrics.totals().hop_drops > 0
+    assert ideal.metrics.totals().hop_drops == 0
 
 
 def test_rerun_is_bitwise_identical():
@@ -53,7 +53,7 @@ def test_rerun_is_bitwise_identical():
 def test_round_without_packets_leaves_energy_unchanged():
     result = run_match(small(rounds=120))  # defaults trigger nothing this early
     first = result.metrics.rounds[0]
-    assert result.metrics.total("triggered") == 0
+    assert result.metrics.totals().triggered == 0
     for rec in result.metrics.rounds:
         assert rec.residual_j == first.residual_j
         assert rec.hop_sends == 0
@@ -121,7 +121,7 @@ def test_lossless_channel_delivers_every_sent_packet():
     scenario = stress(rounds=500, channel=ChannelParams(drop_probability=0.0),
                       initial_energy_j=50.0)
     m = run_match(scenario).metrics
-    assert m.total("triggered") > 0
+    assert m.totals().triggered > 0
     for rec in m.rounds:
         assert rec.received == rec.origin_sends
         assert rec.hop_drops == 0
@@ -143,6 +143,26 @@ def test_stability_period_examples():
     assert stability_period(log) is NO_DEATH
     log.deaths = [(1, 5100), (2, 5200)]
     assert stability_period(log) == 5100
+
+
+COUNTERS = ("hop_sends", "hop_drops", "origin_sends", "received",
+            "routing_failures", "triggered", "delay_sum")
+
+
+@pytest.mark.parametrize("scenario, dies", [
+    (Scenario(protocol="wstm"), True),   # every node dies; all-dead rows padded
+    (small("wstm", rounds=400, initial_energy_j=1000.0), False),
+], ids=["deaths", "no-deaths"])
+def test_totals_equal_per_round_sums(scenario, dies):
+    log = run_match(scenario).metrics
+    assert bool(log.deaths) == dies
+    assert (log.rounds[-1].alive == 0) == dies
+    totals = log.totals()
+    for name in COUNTERS:
+        assert getattr(totals, name) == sum(getattr(r, name) for r in log.rounds), name
+    assert totals.received > 0 and totals.routing_failures > 0
+    assert totals.first_death == stability_period(log)
+    assert totals.final_residual_j == log.rounds[-1].residual_j
 
 
 def test_early_stop_pads_all_dead_rows():
@@ -189,7 +209,7 @@ def test_feed_is_time_ordered_in_real_runs():
     feed = result.feed
     # one feed over every sink, one entry per delivered packet
     assert {x.sink_id for x in feed} == {1, 2}
-    assert len(feed) == result.metrics.total("received")
+    assert len(feed) == result.metrics.totals().received
     assert len({x.packet_id for x in feed}) == len(feed)
     keys = [(x.time, x.packet_id) for x in feed]
     assert keys == sorted(keys)

@@ -104,8 +104,9 @@ def test_events_csv_units(tmp_path):
 
 
 def test_summary_shape_two_rows_plus_delta(tmp_path):
-    fame = summarize("thefame", [stress_result(seed=0)])
-    wstm = summarize("wstm", [run_match(Scenario(protocol="wstm", rounds=400, seed=0))])
+    fame = summarize("thefame", [stress_result(seed=0).metrics.totals()])
+    wstm = summarize("wstm", [run_match(Scenario(protocol="wstm", rounds=400,
+                                                 seed=0)).metrics.totals()])
     path = str(tmp_path / "summary.csv")
     write_summary([fame, wstm], path)
     lines = open(path).read().splitlines()
@@ -131,7 +132,7 @@ def test_summary_shape_two_rows_plus_delta(tmp_path):
 
 def test_summary_blank_throughput_when_nothing_sent(tmp_path):
     silent = run_match(Scenario(rounds=30, seed=0))
-    s = summarize("thefame", [silent])
+    s = summarize("thefame", [silent.metrics.totals()])
     assert s.throughput is None and s.delivery is None
     path = str(tmp_path / "summary.csv")
     write_summary([s], path)
@@ -141,6 +142,6 @@ def test_summary_blank_throughput_when_nothing_sent(tmp_path):
 
 def test_mean_delay_none_handling():
     silent = run_match(Scenario(rounds=30, seed=0))
-    assert silent.metrics.mean_delay() is None
+    assert summarize("thefame", [silent.metrics.totals()]).mean_delay_s is None
     rows = build_rows(silent.metrics)
     assert rows[-1].mean_delay_s is None
