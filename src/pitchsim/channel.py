@@ -3,7 +3,7 @@
 Each hop attempt is an independent Bernoulli trial, so a multi-hop
 delivery survives only if every hop survives. Delay per hop is
 transmission time (size / data rate) plus propagation (distance over
-signal speed, negligible at pitch scale) plus a fixed per-hop
+the speed of light, negligible at pitch scale) plus a fixed per-hop
 processing term; the processing term is what makes hop count dominate.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING
 
 from .geometry import METERS_PER_YARD
@@ -26,15 +27,14 @@ class ChannelParams:
     drop_probability: float = 0.30
     data_rate_bps: float = 250_000.0
     per_hop_processing_s: float = 0.005
-    signal_speed_yds: float = SPEED_OF_LIGHT_YDS
 
     def __post_init__(self):
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
-        if self.data_rate_bps <= 0 or self.signal_speed_yds <= 0:
-            raise ValueError("data_rate_bps and signal_speed_yds must be positive")
-        if self.per_hop_processing_s < 0:
-            raise ValueError("per_hop_processing_s must be non-negative")
+        if not 0 < self.data_rate_bps < inf:
+            raise ValueError("data_rate_bps must be in (0, inf)")
+        if not 0 <= self.per_hop_processing_s < inf:
+            raise ValueError("per_hop_processing_s must be in [0, inf)")
 
 
 def transmit_hop(params: ChannelParams, rng: random.Random) -> bool:
@@ -47,6 +47,6 @@ def propagation_delay(params: ChannelParams, route: "Route", size_bits: float) -
     total = 0.0
     for hop in route.hops:
         total += (size_bits / params.data_rate_bps
-                  + hop.dist / params.signal_speed_yds
+                  + hop.dist / SPEED_OF_LIGHT_YDS
                   + params.per_hop_processing_s)
     return total

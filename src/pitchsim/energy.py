@@ -16,6 +16,7 @@ Units: joules, bits, yards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable
 
 LUMPED = "lumped"
@@ -38,8 +39,8 @@ class RadioModel:
     form: str = LUMPED
 
     def __post_init__(self):
-        if self.e_circuitry < 0 or self.e_amp < 0:
-            raise ValueError("energy coefficients must be non-negative")
+        if not (0 <= self.e_circuitry < inf and 0 <= self.e_amp < inf):
+            raise ValueError("energy coefficients must be in [0, inf)")
         if self.packet_bits <= 0:
             raise ValueError("packet_bits must be positive")
         if self.form not in (LUMPED, FIRST_ORDER):
@@ -95,8 +96,8 @@ class Battery:
     consumed: float = 0.0
 
     def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError("initial energy must be positive")
+        if not 0 < self.initial < inf:
+            raise ValueError("initial energy must be in (0, inf)")
 
     @property
     def residual(self) -> float:

@@ -46,7 +46,8 @@ later route of that round. The trigger, the wstm router and
 
 ``move_players`` is the one movement loop, and ``World.advance`` its
 one caller. ``simulate_mobility`` plays a world with no match on it, for
-calibration and tests, and logs sprint episodes from ``World.modes``.
+calibration and tests, and logs sprint episodes from each player's
+``PlayerKinematics.mode``.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ class World:
         self.lactate = [scenario.lactate.l_base] * len(self.kins)
         self.monitors = [FatigueMonitor(scenario.thresholds) for _ in self.kins]
         self.round = 0
-        self.modes: list[SpeedMode] = []   # each player's mode in the last round
         # round -> (its fatigue events, x0, y0, x1, y1, ...)
         self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
         self.record_trajectory = record_trajectory
@@ -199,21 +199,20 @@ class World:
         self.round += 1
         t = self.round
         kins = self.kins
-        modes = self.modes = move_players(self.group, kins, self.field,
-                                          self.mobility, self.mob_rng,
-                                          self.sched_rng)
+        move_players(self.group, kins, self.field, self.mobility, self.mob_rng,
+                     self.sched_rng)
         lactate, monitors, params = self.lactate, self.monitors, self.lactate_params
         events: list[FatigueEvent] = []
         for i, kin in enumerate(kins):
-            level = lactate[i] = step_lactate(lactate[i], kin.speed_kmh, params, 1.0)
-            if self.record_trajectory:
-                self.trajectory.append((t, kin.player_id, kin.x, kin.y,
-                                        modes[i].value))
-            if self.record_lactate:
-                self.lactate_trace.append((t, kin.player_id, level))
+            level = lactate[i] = step_lactate(lactate[i], kin.speed_kmh, params)
             ev = monitors[i].check(level, kin.cumulative_km, t, kin.player_id)
             if ev is not None:
                 events.append(ev)
+        if self.record_trajectory:
+            self.trajectory.extend((t, k.player_id, k.x, k.y, k.mode.value) for k in kins)
+        if self.record_lactate:
+            self.lactate_trace.extend((t, k.player_id, level)
+                                      for k, level in zip(kins, lactate))
         if events or t % self.scenario.wstm_period_s == 0:
             self.history[t] = (events, array("d", [v for k in kins for v in (k.x, k.y)]))
         return events
@@ -275,7 +274,7 @@ class MatchSim:
 
         packets = trigger_transmissions(self.scenario.protocol,
                                         self.scenario.wstm_period_s, t, events,
-                                        self.alive, self.radio.packet_bits, self._ids)
+                                        self.alive, self._ids)
         rec.triggered = len(packets)
         if packets:
             snapshot = kept[1]
@@ -305,11 +304,11 @@ class MatchSim:
 
     def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
         batteries = self.batteries
+        bits = self.radio.packet_bits
         for i, hop in enumerate(route.hops):
             if batteries[hop.src].dead:
                 break
-            self._debit(hop.src, direct_tx_energy(self.radio, packet.size_bits,
-                                                  hop.dist), rec.round)
+            self._debit(hop.src, direct_tx_energy(self.radio, bits, hop.dist), rec.round)
             rec.hop_sends += 1
             if i == 0:
                 rec.origin_sends += 1
@@ -317,7 +316,7 @@ class MatchSim:
                 rec.hop_drops += 1
                 return
             if hop.dst_player is None:
-                delay = propagation_delay(self.channel, route, packet.size_bits)
+                delay = propagation_delay(self.channel, route, bits)
                 self.feed.append(Delivery(
                     time=packet.created_at + delay, packet_id=packet.packet_id,
                     sink_id=hop.dst_sink, origin=packet.origin,
@@ -326,8 +325,7 @@ class MatchSim:
                 rec.delay_sum += delay
                 return
             # alive: routed over self.alive, and sink distance strictly falls per hop
-            self._debit(hop.dst_player, relay_rx_energy(self.radio, packet.size_bits),
-                        rec.round)
+            self._debit(hop.dst_player, relay_rx_energy(self.radio, bits), rec.round)
             # a relay drained to zero by the receive cannot forward; the
             # dead-sender check above ends the route next hop
         rec.routing_failures += 1
@@ -382,20 +380,18 @@ def aggregate(deliveries: list[Delivery]) -> list[Delivery]:
 def move_players(group: GroupReference, players: list[PlayerKinematics],
                  field: FieldConfig, params: MobilityParams,
                  mob_rng: random.Random,
-                 sched_rng: random.Random) -> list[SpeedMode]:
+                 sched_rng: random.Random) -> None:
     """Advance the group reference, then schedule and move every player,
-    by one second. Returns each player's mode for the step.
+    by one second. Each player's mode for the step is its ``mode``.
 
     Only the ``mobility`` and ``scheduling`` streams are drawn from, and
     physiology draws nothing, so a caller that runs physiology after this
     keeps every RNG sequence of a per-player interleaving.
     """
-    step_group_reference(group, field, params, 1.0, mob_rng)
-    modes = []
+    step_group_reference(group, field, params, mob_rng)
     for kin in players:
-        modes.append(schedule_mode(kin, params, 1.0, sched_rng))
-        step_player(kin, group, field, params, 1.0, mob_rng)
-    return modes
+        schedule_mode(kin, params, sched_rng)
+        step_player(kin, group, field, params, mob_rng)
 
 
 @dataclass(frozen=True)
@@ -420,11 +416,11 @@ def simulate_mobility(scenario: Scenario) -> MobilityRun:
     sprints: list[SprintEpisode] = []
     for t in range(1, scenario.rounds + 1):
         world.advance()
-        for k, mode in zip(world.kins, world.modes):
+        for k in world.kins:
             was_sprinting = k.player_id in open_since
-            if mode is SpeedMode.SPRINT and not was_sprinting:
+            if k.mode is SpeedMode.SPRINT and not was_sprinting:
                 open_since[k.player_id] = t
-            elif mode is not SpeedMode.SPRINT and was_sprinting:
+            elif k.mode is not SpeedMode.SPRINT and was_sprinting:
                 start = open_since.pop(k.player_id)
                 sprints.append(SprintEpisode(k.player_id, start, t - start))
     for pid, start in sorted(open_since.items()):

@@ -41,8 +41,8 @@ class FieldConfig:
     sinks: tuple[tuple[int, Point], ...] = ()
 
     def __post_init__(self):
-        if not (self.length > 0 and self.width > 0):
-            raise ValueError("field dimensions must be positive")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise ValueError("field dimensions must be in (0, inf)")
         ids = [sid for sid, _ in self.sinks]
         if len(ids) != len(set(ids)):
             raise ValueError("sink ids must be unique")

@@ -7,10 +7,11 @@ current effort mode. The scheduler draws sprint onsets as a per-second
 hazard tuned so the expected sprint count over a match matches
 ``sprints_per_match``; every sprint is followed by an uninterruptible
 walking recovery of ``rest_multiple`` times its length, and the rest of
-the time alternates run and walk episodes.
+the time alternates run and walk episodes. The sprint count is over a
+full match of ``MATCH_SECONDS``, whatever the number of rounds played.
 
-Speeds are km/h, positions yards, durations seconds, accumulated
-distance km.
+Every step is one round, one second of match time. Speeds are km/h,
+positions yards, durations seconds, accumulated distance km.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from math import inf
 
 from .geometry import METERS_PER_YARD, FieldConfig, Point, clamp_to_field
 
@@ -26,6 +28,7 @@ KMH_TO_YDS = (1000.0 / METERS_PER_YARD) / 3600.0   # km/h -> yd/s
 KM_PER_YARD = METERS_PER_YARD / 1000.0
 
 TWO_PI = 2.0 * math.pi
+MATCH_SECONDS = 5400.0
 
 
 class SpeedMode(enum.Enum):
@@ -49,23 +52,21 @@ class MobilityParams:
     group_speed_kmh: float = 7.0
     run_episode_mean_s: float = 14.0
     walk_episode_mean_s: float = 20.0
-    match_seconds: float = 5400.0
 
     def __post_init__(self):
-        if not 0.0 <= self.v_walk < self.v_run_min <= self.v_run_max < self.v_sprint:
-            raise ValueError("speeds must satisfy 0 <= walk < run_min <= run_max < sprint")
+        if not 0.0 <= self.v_walk < self.v_run_min <= self.v_run_max < self.v_sprint < inf:
+            raise ValueError("speeds must satisfy 0 <= walk < run_min <= run_max < sprint < inf")
         if not 0 < self.sprint_min_s <= self.sprint_max_s:
             raise ValueError("sprint duration range is invalid")
-        if self.sprints_per_match < 0:
-            raise ValueError("sprints_per_match must be non-negative")
-        if self.rest_multiple < 0 or self.deviation_radius < 0 or self.group_speed_kmh < 0:
-            raise ValueError("rest_multiple, deviation_radius, group_speed must be non-negative")
-        if self.run_episode_mean_s <= 0 or self.walk_episode_mean_s <= 0:
-            raise ValueError("episode means must be positive")
-        if self.match_seconds <= 0:
-            raise ValueError("match_seconds must be positive")
+        if not 0 <= self.sprints_per_match < inf:
+            raise ValueError("sprints_per_match must be in [0, inf)")
+        if not (0 <= self.rest_multiple < inf and 0 <= self.deviation_radius < inf
+                and 0 <= self.group_speed_kmh < inf):
+            raise ValueError("rest_multiple, deviation_radius, group_speed must be in [0, inf)")
+        if not (0 < self.run_episode_mean_s < inf and 0 < self.walk_episode_mean_s < inf):
+            raise ValueError("episode means must be in (0, inf)")
         if self.sprints_per_match > 0 and self._eligible_seconds() <= 0:
-            raise ValueError("sprints_per_match does not fit in match_seconds "
+            raise ValueError("sprints_per_match does not fit in a match "
                              "with the given durations and rest_multiple")
         # the scheduler reads the hazard every player-second; compute it once
         hazard = (0.0 if self.sprints_per_match <= 0
@@ -75,7 +76,7 @@ class MobilityParams:
     def _eligible_seconds(self) -> float:
         mean_sprint = (self.sprint_min_s + self.sprint_max_s) / 2.0
         busy = self.sprints_per_match * mean_sprint * (1.0 + self.rest_multiple)
-        return self.match_seconds - busy
+        return MATCH_SECONDS - busy
 
     def sprint_hazard(self) -> float:
         """Per-second sprint onset probability outside sprints and recoveries."""
@@ -109,9 +110,10 @@ def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Rand
         k.mode_time_left = rng.uniform(0.5, 1.5) * p.run_episode_mean_s
 
 
-def schedule_mode(k: PlayerKinematics, p: MobilityParams, dt: float,
+def schedule_mode(k: PlayerKinematics, p: MobilityParams,
                   rng: random.Random) -> SpeedMode:
-    """Advance the effort schedule by dt and return the mode for this step."""
+    """Advance the effort schedule by one second and return the mode for
+    this step."""
     if k.mode is SpeedMode.SPRINT:
         if k.mode_time_left <= 0.0:
             # sprint over: forced walking recovery, immune to new onsets
@@ -124,27 +126,28 @@ def schedule_mode(k: PlayerKinematics, p: MobilityParams, dt: float,
 
     if k.mode is not SpeedMode.SPRINT and k.lock_time_left <= 0.0:
         hazard = p.sprint_hazard()
-        if hazard > 0.0 and rng.random() < hazard * dt:
+        if hazard > 0.0 and rng.random() < hazard:
             length = float(rng.randint(p.sprint_min_s, p.sprint_max_s))
             k.mode = SpeedMode.SPRINT
             k.speed_kmh = p.v_sprint
             k.mode_time_left = length
             k.sprint_len = length
 
-    k.mode_time_left -= dt
+    k.mode_time_left -= 1.0
     if k.lock_time_left > 0.0:
-        k.lock_time_left -= dt
+        k.lock_time_left -= 1.0
     return k.mode
 
 
 def step_player(k: PlayerKinematics, ref: GroupReference | Point, field: FieldConfig,
-                p: MobilityParams, dt: float, rng: random.Random) -> PlayerKinematics:
+                p: MobilityParams, rng: random.Random) -> PlayerKinematics:
     """Move one player toward its formation slot around ``(ref.x, ref.y)``.
 
     The target is ref + offset + a uniform draw from the deviation disc,
-    clamped to the pitch; the move toward it is capped at the current
-    mode speed times dt. The deviation is drawn even for resting players
-    so RNG consumption does not depend on the mode sequence.
+    clamped to the pitch; the move toward it is capped at the distance the
+    current mode speed covers in one second. The deviation is drawn even
+    for resting players so RNG consumption does not depend on the mode
+    sequence.
     """
     r = p.deviation_radius * math.sqrt(rng.random())
     theta = TWO_PI * rng.random()
@@ -153,7 +156,7 @@ def step_player(k: PlayerKinematics, ref: GroupReference | Point, field: FieldCo
     tx = min(max(tx, 0.0), field.length)
     ty = min(max(ty, 0.0), field.width)
 
-    cap = k.speed_kmh * KMH_TO_YDS * dt
+    cap = k.speed_kmh * KMH_TO_YDS
     dx = tx - k.x
     dy = ty - k.y
     dist = math.hypot(dx, dy)
@@ -188,9 +191,10 @@ class GroupReference:
 
 
 def step_group_reference(g: GroupReference, field: FieldConfig, p: MobilityParams,
-                         dt: float, rng: random.Random) -> None:
-    """Advance the reference toward its waypoint, redrawing on arrival."""
-    cap = p.group_speed_kmh * KMH_TO_YDS * dt
+                         rng: random.Random) -> None:
+    """Advance the reference one second toward its waypoint, redrawing on
+    arrival."""
+    cap = p.group_speed_kmh * KMH_TO_YDS
     dx = g.waypoint_x - g.x
     dy = g.waypoint_y - g.y
     dist = math.hypot(dx, dy)

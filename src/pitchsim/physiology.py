@@ -1,9 +1,9 @@
 """Blood-lactate dynamics and the two-sided fatigue trigger.
 
 Lactate follows a first-order production/clearance law stepped with
-forward Euler:
+forward Euler, one step per one-second round:
 
-    L' = L + dt * (alpha * max(0, v - v_aerobic) - beta * max(0, L - L_base))
+    L' = L + alpha * max(0, v - v_aerobic) - beta * max(0, L - L_base)
 
 Production engages only above the aerobic speed; clearance pulls the
 level back toward baseline. The default production rate is chosen so
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import inf, isfinite
 
 MGDL_PER_MMOL_L = 9.0
 
@@ -44,22 +45,22 @@ class LactateParams:
     beta: float = 0.005          # 1/s; clearance half-life ~2.3 min at rest
 
     def __post_init__(self):
-        if not self.l_base < self.l_threshold:
-            raise ValueError("l_base must be below l_threshold")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        # Euler at 1 s steps turns unstable once beta*dt approaches 1
-        if self.beta >= 1.0:
-            raise ValueError("beta must be below 1.0 for a stable 1 s step")
+        if not -inf < self.l_base < self.l_threshold < inf:
+            raise ValueError("l_base must be below l_threshold, both finite")
+        if not isfinite(self.v_aerobic):
+            raise ValueError("v_aerobic must be finite")
+        if not 0 < self.alpha < inf:
+            raise ValueError("alpha must be in (0, inf)")
+        # Euler at 1 s steps turns unstable once beta approaches 1
+        if not 0 <= self.beta < 1.0:
+            raise ValueError("beta must be in [0, 1) for a stable 1 s step")
 
 
-def step_lactate(level: float, v: float, params: LactateParams, dt: float) -> float:
-    """One Euler step of the production/clearance law; never below zero."""
+def step_lactate(level: float, v: float, params: LactateParams) -> float:
+    """One 1 s Euler step of the production/clearance law; never below zero."""
     production = params.alpha * max(0.0, v - params.v_aerobic)
     clearance = params.beta * max(0.0, level - params.l_base)
-    new = level + dt * (production - clearance)
+    new = level + (production - clearance)
     return new if new > 0.0 else 0.0
 
 
@@ -75,8 +76,8 @@ class FatigueThresholds:
     hysteresis: float = 0.9      # lactate re-arm fraction of threshold
 
     def __post_init__(self):
-        if self.lactate <= 0 or self.distance_km <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (0 < self.lactate < inf and 0 < self.distance_km < inf):
+            raise ValueError("thresholds must be in (0, inf)")
         if not 0.0 < self.hysteresis <= 1.0:
             raise ValueError("hysteresis must be in (0, 1]")
 

@@ -32,7 +32,6 @@ class Packet:
     packet_id: int
     origin: int
     created_at: int
-    size_bits: int
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,11 @@ def wstm_route(player: PlayerKinematics, all_players: Sequence[PlayerKinematics]
 def trigger_transmissions(protocol: str, period_s: int, t: int,
                           fatigue_events: Iterable[FatigueEvent],
                           alive_players: Sequence[PlayerKinematics],
-                          size_bits: int,
                           ids: Iterator[int]) -> list[Packet]:
     """Packets originated this round: one per fatigue event under thefame,
     one per alive player every ``period_s`` rounds under wstm."""
     if protocol == THEFAME:
-        return [Packet(next(ids), ev.player_id, t, size_bits)
-                for ev in fatigue_events]
+        return [Packet(next(ids), ev.player_id, t) for ev in fatigue_events]
     if t % period_s != 0:
         return []
-    return [Packet(next(ids), k.player_id, t, size_bits) for k in alive_players]
+    return [Packet(next(ids), k.player_id, t) for k in alive_players]

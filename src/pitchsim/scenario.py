@@ -61,13 +61,13 @@ class Scenario:
             raise ValidationError("rounds must be positive")
         if not 1 <= self.players <= MAX_PLAYERS:
             raise ValidationError(f"players must be in [1, {MAX_PLAYERS}]")
-        if self.field_length <= 0 or self.field_width <= 0:
-            raise ValidationError("field dimensions must be positive")
+        if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
+            raise ValidationError("field dimensions must be in (0, inf)")
         if self.sink_placement not in (CORRECTED, EXTENDED):
             raise ValidationError(
                 f"field.sink_placement must be corrected or extended, got {self.sink_placement!r}")
-        if self.initial_energy_j <= 0:
-            raise ValidationError("energy.initial_j must be positive")
+        if not 0 < self.initial_energy_j < math.inf:
+            raise ValidationError("energy.initial_j must be in (0, inf)")
         if self.max_hops < 1:
             raise ValidationError("wstm.max_hops must be at least 1")
         if self.wstm_period_s <= 0:

@@ -140,8 +140,10 @@ def test_paired_comparison_shares_trajectories(tmp_path):
 
 
 def test_compare_moves_the_players_once_per_seed(tmp_path, monkeypatch):
-    # 1000 J batteries: neither protocol stops early, so each plays every round
-    from pitchsim import engine
+    # 1000 J batteries: neither protocol stops early, so each plays every round.
+    # cli and engine are imported together: a test file that reloads pitchsim
+    # would leave a module-level cli running an engine other than this one
+    from pitchsim import cli, engine
     calls = []
     original = engine.step_group_reference
 
@@ -151,8 +153,8 @@ def test_compare_moves_the_players_once_per_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "step_group_reference", counted)
     scenario = write(tmp_path, FAST + "energy.initial_j = 1000\n")
-    assert main(["compare", "--scenario", scenario, "--seeds", "0..1",
-                 "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    assert cli.main(["compare", "--scenario", scenario, "--seeds", "0..1",
+                     "--out", str(tmp_path / "cmp")]) == EXIT_OK
     assert len(calls) == 2 * 200
 
 
@@ -162,6 +164,18 @@ def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
     assert main(["compare", "--scenario", write(tmp_path, FAST), "--seeds=-1..0",
                  "--out", str(out)]) == EXIT_INVALID
     assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):
+    # the range is one argument; argparse takes a value that starts with "-"
+    # and is not a plain number for a flag
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", write(tmp_path, FAST), "--seeds", "-1..0",
+              "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -34,20 +34,20 @@ def test_speed_conversion():
 def test_rest_does_not_move():
     k = kin(mode=SpeedMode.REST, speed=0.0)
     before = (k.x, k.y, k.cumulative_km)
-    step_player(k, Point(80.0, 10.0), FIELD, PARAMS, 5.0, random.Random(1))
+    step_player(k, Point(80.0, 10.0), FIELD, PARAMS, random.Random(1))
     assert (k.x, k.y, k.cumulative_km) == before
 
 
-@pytest.mark.parametrize("speed,dt", [(25.0, 1.0), (12.0, 1.0), (4.5, 2.5)])
-def test_displacement_capped_by_mode_speed(speed, dt):
+@pytest.mark.parametrize("speed", [25.0, 12.0, 4.5])
+def test_displacement_capped_by_mode_speed(speed):
     rng = random.Random(42)
     for trial in range(200):
         k = kin(x=rng.uniform(0, 106), y=rng.uniform(0, 68), speed=speed)
         x0, y0 = k.x, k.y
         step_player(k, Point(rng.uniform(0, 106), rng.uniform(0, 68)),
-                    FIELD, PARAMS, dt, rng)
+                    FIELD, PARAMS, rng)
         moved = math.hypot(k.x - x0, k.y - y0)
-        assert moved <= speed * KMH_TO_YDS * dt * (1 + 1e-12)
+        assert moved <= speed * KMH_TO_YDS * (1 + 1e-12)
 
 
 def test_positions_stay_inside_field():
@@ -55,7 +55,7 @@ def test_positions_stay_inside_field():
     k = kin(x=0.0, y=0.0, speed=25.0)
     ref = Point(0.0, 0.0)
     for _ in range(500):
-        step_player(k, ref, FIELD, PARAMS, 1.0, rng)
+        step_player(k, ref, FIELD, PARAMS, rng)
         assert 0.0 <= k.x <= FIELD.length
         assert 0.0 <= k.y <= FIELD.width
 
@@ -67,10 +67,10 @@ def test_cumulative_distance_matches_independent_accumulator():
     total = 0.0
     group = GroupReference.centered(FIELD)
     for _ in range(1000):
-        step_group_reference(group, FIELD, PARAMS, 1.0, rng)
-        schedule_mode(k, PARAMS, 1.0, sched)
+        step_group_reference(group, FIELD, PARAMS, rng)
+        schedule_mode(k, PARAMS, sched)
         x0, y0 = k.x, k.y
-        step_player(k, group, FIELD, PARAMS, 1.0, rng)
+        step_player(k, group, FIELD, PARAMS, rng)
         total += math.hypot(k.x - x0, k.y - y0) * KM_PER_YARD
     assert k.cumulative_km == pytest.approx(total, rel=1e-12)
 
@@ -78,7 +78,7 @@ def test_cumulative_distance_matches_independent_accumulator():
 def test_group_reference_zero_speed_static():
     params = MobilityParams(group_speed_kmh=0.0)
     g = GroupReference(30.0, 30.0, 90.0, 50.0)
-    step_group_reference(g, FIELD, params, 1.0, random.Random(0))
+    step_group_reference(g, FIELD, params, random.Random(0))
     assert (g.x, g.y) == (30.0, 30.0)
 
 
@@ -88,7 +88,7 @@ def test_group_reference_speed_cap_and_bounds():
     cap = PARAMS.group_speed_kmh * KMH_TO_YDS
     for _ in range(2000):
         x0, y0 = g.x, g.y
-        step_group_reference(g, FIELD, PARAMS, 1.0, rng)
+        step_group_reference(g, FIELD, PARAMS, rng)
         assert math.hypot(g.x - x0, g.y - y0) <= cap * (1 + 1e-12)
         assert 0.0 <= g.x <= FIELD.length and 0.0 <= g.y <= FIELD.width
 
@@ -98,7 +98,7 @@ def test_zero_sprint_rate_never_sprints():
     rng = random.Random(0)
     k = kin()
     for _ in range(5000):
-        assert schedule_mode(k, params, 1.0, rng) is not SpeedMode.SPRINT
+        assert schedule_mode(k, params, rng) is not SpeedMode.SPRINT
 
 
 def test_sprint_hazard_follows_the_params_it_was_built_from():
@@ -144,7 +144,7 @@ def test_run_speed_drawn_within_band():
     k = kin(mode=SpeedMode.WALK, speed=PARAMS.v_walk)
     seen = set()
     for _ in range(3000):
-        mode = schedule_mode(k, PARAMS, 1.0, rng)
+        mode = schedule_mode(k, PARAMS, rng)
         if mode is SpeedMode.RUN:
             assert PARAMS.v_run_min <= k.speed_kmh <= PARAMS.v_run_max
             seen.add(round(k.speed_kmh, 3))

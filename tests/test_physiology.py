@@ -14,27 +14,27 @@ def test_default_alpha_matches_three_minute_onset():
 
 def test_equilibrium_at_baseline():
     for v in (0.0, 5.0, 12.9):
-        assert step_lactate(DEFAULT.l_base, v, DEFAULT, 1.0) == DEFAULT.l_base
+        assert step_lactate(DEFAULT.l_base, v, DEFAULT) == DEFAULT.l_base
 
 
 def test_three_minute_sprint_reaches_threshold_without_clearance():
     params = LactateParams(beta=0.0)
     level = params.l_base
     for _ in range(180):
-        level = step_lactate(level, 25.0, params, 1.0)
+        level = step_lactate(level, 25.0, params)
     assert level == pytest.approx(2.2, rel=1e-9)
 
 
 def test_clearance_decreases_toward_baseline():
     level = 3.0
-    new = step_lactate(level, 0.0, DEFAULT, 1.0)
+    new = step_lactate(level, 0.0, DEFAULT)
     assert DEFAULT.l_base <= new < level
 
 
 def test_clearance_is_monotone_approach():
     level = 2.5
     for _ in range(2000):
-        nxt = step_lactate(level, 0.0, DEFAULT, 1.0)
+        nxt = step_lactate(level, 0.0, DEFAULT)
         assert DEFAULT.l_base <= nxt <= level
         level = nxt
     assert level == pytest.approx(DEFAULT.l_base, abs=1e-4)
@@ -44,7 +44,7 @@ def test_never_negative():
     params = LactateParams(l_base=0.0001, beta=0.9)
     level = 0.5
     for _ in range(100):
-        level = step_lactate(level, 0.0, params, 1.0)
+        level = step_lactate(level, 0.0, params)
         assert level >= 0.0
 
 
@@ -55,7 +55,7 @@ def test_growth_linear_without_clearance():
     rate = params.alpha * (v - params.v_aerobic)
     level = params.l_base
     for t in range(1, 501):
-        level = step_lactate(level, v, params, 1.0)
+        level = step_lactate(level, v, params)
         closed = params.l_base + rate * t
         assert abs(level - closed) / closed < 1e-9
 

@@ -226,30 +226,30 @@ def make_ids():
 
 def test_threshold_trigger_no_events_no_packets():
     assert trigger_transmissions(THEFAME, 10, 50, [], [player(0, 1, 1)],
-                                 1024, make_ids()) == []
+                                 make_ids()) == []
 
 
 def test_threshold_trigger_one_packet_per_event():
     events = [FatigueEvent(0, 50.0, FatigueCause.LACTATE, 2.3),
               FatigueEvent(4, 50.0, FatigueCause.DISTANCE, 11.0)]
-    pkts = trigger_transmissions(THEFAME, 10, 50, events, [], 1024, make_ids())
+    pkts = trigger_transmissions(THEFAME, 10, 50, events, [], make_ids())
     assert [p.origin for p in pkts] == [0, 4]
     assert len({p.packet_id for p in pkts}) == 2
 
 
 def test_periodic_trigger_on_period():
     alive = [player(i, i, i) for i in range(22)]
-    pkts = trigger_transmissions(WSTM, 10, 30, [], alive, 1024, make_ids())
+    pkts = trigger_transmissions(WSTM, 10, 30, [], alive, make_ids())
     assert len(pkts) == 22
     assert sorted(p.origin for p in pkts) == list(range(22))
 
 
 def test_periodic_trigger_off_period():
     alive = [player(i, i, i) for i in range(22)]
-    assert trigger_transmissions(WSTM, 10, 31, [], alive, 1024, make_ids()) == []
+    assert trigger_transmissions(WSTM, 10, 31, [], alive, make_ids()) == []
 
 
 def test_periodic_trigger_counts_only_alive():
     alive = [player(i, i, i) for i in range(5)]
-    pkts = trigger_transmissions(WSTM, 10, 10, [], alive, 1024, make_ids())
+    pkts = trigger_transmissions(WSTM, 10, 10, [], alive, make_ids())
     assert len(pkts) == 5

@@ -1,10 +1,17 @@
+from dataclasses import fields
+from math import inf, nan
+
 import pytest
 
+from pitchsim.channel import ChannelParams
 from pitchsim.cli import EXIT_INVALID, main
-from pitchsim.geometry import Point
-from pitchsim.scenario import (ParseError, Scenario, ValidationError,
-                               parse_scenario, parse_scenario_text,
-                               scenario_keys)
+from pitchsim.energy import Battery, RadioModel
+from pitchsim.geometry import FieldConfig, Point
+from pitchsim.mobility import MobilityParams
+from pitchsim.physiology import FatigueThresholds, LactateParams
+from pitchsim.scenario import (_KEYS, _SECTION_TYPES, ParseError, Scenario,
+                               ValidationError, parse_scenario,
+                               parse_scenario_text, scenario_keys)
 
 
 def test_empty_text_yields_all_defaults():
@@ -105,6 +112,37 @@ def test_non_finite_float_rejected(line, tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and f"{path}:2" in stderr[0] and key in stderr[0]
+
+
+NON_FINITE_PROBES = [
+    (Scenario, "initial_energy_j", nan), (Scenario, "field_length", nan),
+    (Scenario, "field_width", inf),
+    (RadioModel, "e_amp", nan), (RadioModel, "e_circuitry", inf),
+    (LactateParams, "alpha", nan), (LactateParams, "beta", nan),
+    (LactateParams, "v_aerobic", nan),
+    (FatigueThresholds, "lactate", inf), (FatigueThresholds, "distance_km", nan),
+    (ChannelParams, "per_hop_processing_s", nan), (ChannelParams, "data_rate_bps", inf),
+    (MobilityParams, "deviation_radius", nan), (MobilityParams, "group_speed_kmh", inf),
+    (MobilityParams, "v_sprint", inf), (MobilityParams, "run_episode_mean_s", inf),
+    (Battery, "initial", nan), (Battery, "initial", inf),
+    (FieldConfig, "length", inf),
+]
+
+
+@pytest.mark.parametrize("cls,name,value", NON_FINITE_PROBES,
+                         ids=[f"{c.__name__}({n}={v})" for c, n, v in NON_FINITE_PROBES])
+def test_library_constructors_reject_non_finite(cls, name, value):
+    # the library path builds these without scenario.finite_float
+    with pytest.raises(ValidationError if cls is Scenario else ValueError):
+        cls(**{name: value})
+
+
+def test_every_model_setting_is_a_scenario_key():
+    set_by_keys = {(section, attr) for section, attr, _ in _KEYS.values()}
+    settings = {(None, f.name) for f in fields(Scenario) if f.name not in _SECTION_TYPES}
+    settings |= {(name, f.name) for name, cls in _SECTION_TYPES.items()
+                 for f in fields(cls)}
+    assert settings - set_by_keys == set()
 
 
 def test_invalid_radio_form():
