@@ -41,7 +41,7 @@ class RadioModel:
     def __post_init__(self):
         if not (0 <= self.e_circuitry < inf and 0 <= self.e_amp < inf):
             raise ValueError("energy coefficients must be in [0, inf)")
-        if self.packet_bits <= 0:
+        if type(self.packet_bits) is not int or self.packet_bits <= 0:
             raise ValueError("packet_bits must be positive")
         if self.form not in (LUMPED, FIRST_ORDER):
             raise ValueError(f"unknown radio form {self.form!r}")

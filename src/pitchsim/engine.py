@@ -104,7 +104,7 @@ class RunTotals(NamedTuple):
 @dataclass(frozen=True)
 class Delivery:
     """One packet landing at a sink."""
-    time: float          # created_at + end-to-end delay
+    time: float          # sending round + end-to-end delay
     packet_id: int
     sink_id: int
     origin: int
@@ -184,6 +184,7 @@ class World:
         self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
         self.record_trajectory = record_trajectory
         self.record_lactate = record_lactate
+        # CSV-ordered rows: (player_id, round, x, y, mode), (player_id, round, mmol/L)
         self.trajectory: list[tuple[int, int, float, float, str]] = []
         self.lactate_trace: list[tuple[int, int, float]] = []
 
@@ -194,8 +195,8 @@ class World:
             raise ValueError("a world serves only scenarios that equal its own "
                              "up to protocol")
 
-    def advance(self) -> list[FatigueEvent]:
-        """Play the next round; return its fatigue events."""
+    def advance(self) -> None:
+        """Play the next round; ``history`` keeps its fatigue events."""
         self.round += 1
         t = self.round
         kins = self.kins
@@ -209,13 +210,12 @@ class World:
             if ev is not None:
                 events.append(ev)
         if self.record_trajectory:
-            self.trajectory.extend((t, k.player_id, k.x, k.y, k.mode.value) for k in kins)
+            self.trajectory.extend((k.player_id, t, k.x, k.y, k.mode.value) for k in kins)
         if self.record_lactate:
-            self.lactate_trace.extend((t, k.player_id, level)
+            self.lactate_trace.extend((k.player_id, t, level)
                                       for k, level in zip(kins, lactate))
         if events or t % self.scenario.wstm_period_s == 0:
             self.history[t] = (events, array("d", [v for k in kins for v in (k.x, k.y)]))
-        return events
 
 
 class MatchSim:
@@ -254,7 +254,11 @@ class MatchSim:
         return len(self.alive)
 
     def residual_total(self) -> float:
-        return sum(b.residual for b in self.batteries)
+        # left to right: since Python 3.12 sum() compensates float rounding
+        total = 0.0
+        for b in self.batteries:
+            total += b.residual
+        return total
 
     def run_round(self) -> RoundRecord:
         self._round += 1
@@ -318,7 +322,7 @@ class MatchSim:
             if hop.dst_player is None:
                 delay = propagation_delay(self.channel, route, bits)
                 self.feed.append(Delivery(
-                    time=packet.created_at + delay, packet_id=packet.packet_id,
+                    time=rec.round + delay, packet_id=packet.packet_id,
                     sink_id=hop.dst_sink, origin=packet.origin,
                     round=rec.round, delay=delay))
                 rec.received += 1

@@ -56,7 +56,8 @@ class MobilityParams:
     def __post_init__(self):
         if not 0.0 <= self.v_walk < self.v_run_min <= self.v_run_max < self.v_sprint < inf:
             raise ValueError("speeds must satisfy 0 <= walk < run_min <= run_max < sprint < inf")
-        if not 0 < self.sprint_min_s <= self.sprint_max_s:
+        if not (type(self.sprint_min_s) is int and type(self.sprint_max_s) is int
+                and 0 < self.sprint_min_s <= self.sprint_max_s):
             raise ValueError("sprint duration range is invalid")
         if not 0 <= self.sprints_per_match < inf:
             raise ValueError("sprints_per_match must be in [0, inf)")

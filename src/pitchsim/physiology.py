@@ -39,14 +39,13 @@ def onset_alpha(l_base: float = 1.0, l_threshold: float = 2.2,
 @dataclass(frozen=True)
 class LactateParams:
     l_base: float = 1.0
-    l_threshold: float = 2.2
     v_aerobic: float = 12.9
     alpha: float = onset_alpha()
     beta: float = 0.005          # 1/s; clearance half-life ~2.3 min at rest
 
     def __post_init__(self):
-        if not -inf < self.l_base < self.l_threshold < inf:
-            raise ValueError("l_base must be below l_threshold, both finite")
+        if not isfinite(self.l_base):
+            raise ValueError("l_base must be finite")
         if not isfinite(self.v_aerobic):
             raise ValueError("v_aerobic must be finite")
         if not 0 < self.alpha < inf:

@@ -29,9 +29,9 @@ WSTM = "wstm"
 
 @dataclass(frozen=True)
 class Packet:
+    """One triggered packet; the round that sends it is its creation time."""
     packet_id: int
     origin: int
-    created_at: int
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def trigger_transmissions(protocol: str, period_s: int, t: int,
     """Packets originated this round: one per fatigue event under thefame,
     one per alive player every ``period_s`` rounds under wstm."""
     if protocol == THEFAME:
-        return [Packet(next(ids), ev.player_id, t) for ev in fatigue_events]
+        return [Packet(next(ids), ev.player_id) for ev in fatigue_events]
     if t % period_s != 0:
         return []
-    return [Packet(next(ids), k.player_id, t) for k in alive_players]
+    return [Packet(next(ids), k.player_id) for k in alive_players]

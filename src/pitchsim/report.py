@@ -136,32 +136,29 @@ class ProtocolSummary:
 
 
 def summarize(protocol: str, runs: Sequence[RunTotals]) -> ProtocolSummary:
-    """Pool per-run tallies; float sums add the runs' values in run order."""
+    """Pool per-run tallies; float sums add the runs' values left to right,
+    so every supported Python gives the same bits."""
     sent_hops = sum(t.hop_sends for t in runs)
     sent_packets = sum(t.origin_sends for t in runs)
     received = sum(t.received for t in runs)
-    delay_sum = sum(t.delay_sum for t in runs)
+    delay_sum = residual_sum = 0.0
+    for t in runs:
+        delay_sum += t.delay_sum
+        residual_sum += t.final_residual_j
     deaths = [t.first_death for t in runs if t.first_death is not None]
-
-    def ratio(num, den):
-        try:
-            return throughput_pct(num, den)
-        except UndefinedThroughputError:
-            return None
-
     return ProtocolSummary(
         protocol=protocol,
         runs=len(runs),
         stability_period=sum(deaths) / len(deaths) if deaths else None,
-        throughput=ratio(received, sent_hops),
-        delivery=ratio(received, sent_packets),
+        throughput=throughput_pct(received, sent_hops) if sent_hops else None,
+        delivery=throughput_pct(received, sent_packets) if sent_packets else None,
         mean_delay_s=delay_sum / received if received else None,
         sent_hops=sent_hops,
         sent_packets=sent_packets,
         received=received,
         dropped=sum(t.hop_drops for t in runs),
         routing_failed=sum(t.routing_failures for t in runs),
-        final_residual_j=sum(t.final_residual_j for t in runs) / len(runs),
+        final_residual_j=residual_sum / len(runs),
     )
 
 
@@ -201,13 +198,11 @@ def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
     if result.trajectory:
         paths.append(_write_csv(
             os.path.join(out_dir, "trajectory.csv"),
-            ["player_id", "t", "x", "y", "mode"],
-            ((pid, t, x, y, mode) for t, pid, x, y, mode in result.trajectory)))
+            ["player_id", "t", "x", "y", "mode"], result.trajectory))
     if result.lactate_trace:
         paths.append(_write_csv(
             os.path.join(out_dir, "lactate.csv"),
-            ["player_id", "t", "lactate_mmol_l"],
-            ((pid, t, level) for t, pid, level in result.lactate_trace)))
+            ["player_id", "t", "lactate_mmol_l"], result.lactate_trace))
     return paths
 
 

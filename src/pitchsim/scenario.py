@@ -55,11 +55,11 @@ class Scenario:
     def __post_init__(self):
         if self.protocol not in (THEFAME, WSTM):
             raise ValidationError(f"protocol must be thefame or wstm, got {self.protocol!r}")
-        if self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.rounds <= 0:
+        if type(self.rounds) is not int or self.rounds <= 0:
             raise ValidationError("rounds must be positive")
-        if not 1 <= self.players <= MAX_PLAYERS:
+        if type(self.players) is not int or not 1 <= self.players <= MAX_PLAYERS:
             raise ValidationError(f"players must be in [1, {MAX_PLAYERS}]")
         if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
             raise ValidationError("field dimensions must be in (0, inf)")
@@ -68,9 +68,9 @@ class Scenario:
                 f"field.sink_placement must be corrected or extended, got {self.sink_placement!r}")
         if not 0 < self.initial_energy_j < math.inf:
             raise ValidationError("energy.initial_j must be in (0, inf)")
-        if self.max_hops < 1:
+        if type(self.max_hops) is not int or self.max_hops < 1:
             raise ValidationError("wstm.max_hops must be at least 1")
-        if self.wstm_period_s <= 0:
+        if type(self.wstm_period_s) is not int or self.wstm_period_s <= 0:
             raise ValidationError("wstm.period_s must be positive")
 
     def build_field(self) -> FieldConfig:
@@ -118,7 +118,6 @@ _KEYS = {
     "mobility.run_episode_mean_s": ("mobility", "run_episode_mean_s", finite_float),
     "mobility.walk_episode_mean_s": ("mobility", "walk_episode_mean_s", finite_float),
     "lactate.base": ("lactate", "l_base", finite_float),
-    "lactate.threshold": ("lactate", "l_threshold", finite_float),
     "lactate.v_aerobic": ("lactate", "v_aerobic", finite_float),
     "lactate.alpha": ("lactate", "alpha", finite_float),
     "lactate.beta": ("lactate", "beta", finite_float),

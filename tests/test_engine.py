@@ -159,7 +159,10 @@ def test_totals_equal_per_round_sums(scenario, dies):
     assert (log.rounds[-1].alive == 0) == dies
     totals = log.totals()
     for name in COUNTERS:
-        assert getattr(totals, name) == sum(getattr(r, name) for r in log.rounds), name
+        expected = 0   # added in round order, the order totals() documents
+        for r in log.rounds:
+            expected += getattr(r, name)
+        assert getattr(totals, name) == expected, name
     assert totals.received > 0 and totals.routing_failures > 0
     assert totals.first_death == stability_period(log)
     assert totals.final_residual_j == log.rounds[-1].residual_j
@@ -220,7 +223,7 @@ def test_simulate_mobility_ends_where_the_match_does():
     sim = MatchSim(scenario, World(scenario, record_trajectory=True))
     result = sim.run()
     assert not result.metrics.deaths
-    last = {pid: (x, y) for t, pid, x, y, _ in result.trajectory
+    last = {pid: (x, y) for pid, t, x, y, _ in result.trajectory
             if t == scenario.rounds}
     # the world moves the players; a node's kin only holds routing positions
     match_end = [(*last[k.player_id], k.cumulative_km) for k in sim.world.kins]

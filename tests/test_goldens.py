@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,9 @@ def _load_workloads():
 bench = _load_workloads()
 MODULES = {name: importlib.import_module(f"pitchsim.{name}")
            for name in ("scenario", "engine", "cli", "report")}
+# the whole import of pitchsim that MODULES belongs to; the benchmark's
+# self-tests import pitchsim afresh, so sys.modules may later hold another
+PITCHSIM_MODULES = [m for name, m in sys.modules.items() if name.startswith("pitchsim.")]
 
 
 @pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
@@ -100,3 +104,50 @@ def test_simulate_mobility_matches_golden():
     assert any(ep[-1] for ep in sprints) and len(sprints) > 22
     digest = hashlib.sha256(repr((finals, sprints)).encode()).hexdigest()
     assert digest == MOBILITY_RUN_DIGEST
+
+
+def _sum_312(iterable, start=0):
+    """CPython 3.12's builtin sum(): ints add exactly; once the total is a
+    float, floats (and ints) add with Neumaier compensation, and the
+    compensation is added at the end when it is finite."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total = total + x
+        if type(total) is float:
+            break
+    else:
+        return total
+    c = 0.0
+    for x in items:
+        if type(x) not in (float, int):
+            raise TypeError(f"emulated sum() takes floats and ints, got {type(x)}")
+        x = float(x)
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.fixture
+def sum_312(monkeypatch):
+    """Every pitchsim module sees the 3.12 sum() in place of the builtin."""
+    for module in PITCHSIM_MODULES:
+        monkeypatch.setattr(module, "sum", _sum_312, raising=False)
+
+
+def test_sum_312_compensates_floats_only():
+    assert _sum_312([0.1] * 10) == 1.0      # left to right: 0.9999999999999999
+    assert _sum_312([1e100, 1.0, -1e100]) == 1.0
+    assert _sum_312([2**60, 1, -2**60]) == 1
+    assert _sum_312([], 0.5) == 0.5
+
+
+# Reports must not depend on how the running Python's sum() rounds floats.
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_seed_zero_goldens_hold_under_312_sum(name, tmp_path, sum_312):
+    test_seed_zero_reports_match_golden(name, tmp_path)
+
+
+def test_death_run_golden_holds_under_312_sum(tmp_path, sum_312):
+    test_default_compare_with_node_deaths_matches_golden(tmp_path)

@@ -62,8 +62,6 @@ def test_growth_linear_without_clearance():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        LactateParams(l_base=2.2, l_threshold=2.2)
-    with pytest.raises(ValueError):
         LactateParams(alpha=0.0)
     with pytest.raises(ValueError):
         LactateParams(beta=-0.1)

@@ -6,6 +6,7 @@ import pytest
 from pitchsim.channel import ChannelParams
 from pitchsim.cli import EXIT_INVALID, main
 from pitchsim.energy import Battery, RadioModel
+from pitchsim.engine import World, run_match
 from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
@@ -119,7 +120,7 @@ NON_FINITE_PROBES = [
     (Scenario, "field_width", inf),
     (RadioModel, "e_amp", nan), (RadioModel, "e_circuitry", inf),
     (LactateParams, "alpha", nan), (LactateParams, "beta", nan),
-    (LactateParams, "v_aerobic", nan),
+    (LactateParams, "v_aerobic", nan), (LactateParams, "l_base", nan),
     (FatigueThresholds, "lactate", inf), (FatigueThresholds, "distance_km", nan),
     (ChannelParams, "per_hop_processing_s", nan), (ChannelParams, "data_rate_bps", inf),
     (MobilityParams, "deviation_radius", nan), (MobilityParams, "group_speed_kmh", inf),
@@ -137,12 +138,73 @@ def test_library_constructors_reject_non_finite(cls, name, value):
         cls(**{name: value})
 
 
+NON_INT_PROBES = [
+    (Scenario, "seed", nan), (Scenario, "seed", 1.5), (Scenario, "rounds", True),
+    (Scenario, "rounds", inf), (Scenario, "players", 2.5), (Scenario, "players", True),
+    (Scenario, "max_hops", inf), (Scenario, "wstm_period_s", inf),
+    (RadioModel, "packet_bits", 1.5),
+    (MobilityParams, "sprint_min_s", 2.5), (MobilityParams, "sprint_max_s", 4.5),
+]
+
+
+@pytest.mark.parametrize("cls,name,value", NON_INT_PROBES,
+                         ids=[f"{c.__name__}({n}={v})" for c, n, v in NON_INT_PROBES])
+def test_library_constructors_reject_non_int(cls, name, value):
+    # int-typed settings; the file path casts with int() before this check
+    with pytest.raises(ValidationError if cls is Scenario else ValueError):
+        cls(**{name: value})
+
+
 def test_every_model_setting_is_a_scenario_key():
     set_by_keys = {(section, attr) for section, attr, _ in _KEYS.values()}
     settings = {(None, f.name) for f in fields(Scenario) if f.name not in _SECTION_TYPES}
     settings |= {(name, f.name) for name, cls in _SECTION_TYPES.items()
                  for f in fields(cls)}
     assert settings - set_by_keys == set()
+
+
+# A short event-heavy run with nodes dying, and one valid non-default value
+# per key. Both protocols run on one recording world, so a key shows in the
+# fingerprint whichever part of the run it reaches.
+LIVE_BASE = {"rounds": "300", "lactate.alpha": "0.05", "lactate.beta": "0.5",
+             "fatigue.lactate_threshold": "1.2", "fatigue.distance_km": "0.3",
+             "energy.initial_j": "0.02"}
+ALTERNATES = {
+    "protocol": "wstm", "seed": "1", "rounds": "299", "players": "21",
+    "field.length": "100", "field.width": "60", "field.sink_placement": "extended",
+    "mobility.v_run_min": "10.0", "mobility.v_run_max": "13.5",
+    "mobility.v_sprint": "24", "mobility.v_walk": "4.0",
+    "mobility.sprint_min_s": "3", "mobility.sprint_max_s": "6",
+    "mobility.sprints_per_match": "50", "mobility.rest_multiple": "3",
+    "mobility.deviation_radius": "3", "mobility.group_speed_kmh": "9",
+    "mobility.run_episode_mean_s": "10", "mobility.walk_episode_mean_s": "25",
+    "lactate.base": "1.1", "lactate.v_aerobic": "13.5", "lactate.alpha": "0.04",
+    "lactate.beta": "0.4", "fatigue.lactate_threshold": "2.0",
+    "fatigue.distance_km": "0.4", "fatigue.hysteresis": "0.8",
+    "radio.e_circuitry": "6e-8", "radio.e_amp": "2e-10", "radio.packet_bits": "2048",
+    "radio.form": "first-order", "energy.initial_j": "0.03",
+    "drop_probability": "0.2", "data_rate": "125000", "per_hop_processing": "0.01",
+    "wstm.max_hops": "1", "wstm.period_s": "5",
+}
+
+
+def _paired_fingerprint(settings):
+    scenario = parse_scenario_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    world = World(scenario, record_trajectory=True, record_lactate=True)
+    other = "wstm" if scenario.protocol == "thefame" else "thefame"
+    runs = [run_match(s, world) for s in (scenario, scenario.with_protocol(other))]
+    return ([(r.metrics.rounds, r.metrics.debits, r.metrics.deaths, r.feed, r.events)
+             for r in runs], world.trajectory, world.lactate_trace)
+
+
+@pytest.fixture(scope="module")
+def base_fingerprint():
+    return _paired_fingerprint(LIVE_BASE)
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_every_scenario_key_changes_the_run(key, base_fingerprint):
+    assert _paired_fingerprint({**LIVE_BASE, key: ALTERNATES[key]}) != base_fingerprint
 
 
 def test_invalid_radio_form():
@@ -179,7 +241,7 @@ def test_every_documented_key_parses():
         "mobility.v_walk": "4.0", "mobility.sprint_min_s": "2",
         "mobility.sprint_max_s": "5", "mobility.sprints_per_match": "50",
         "mobility.run_episode_mean_s": "10", "mobility.walk_episode_mean_s": "20",
-        "lactate.base": "1.0", "lactate.threshold": "2.2",
+        "lactate.base": "1.0",
         "lactate.v_aerobic": "12.9", "lactate.alpha": "0.0005",
         "lactate.beta": "0.005", "fatigue.lactate_threshold": "2.2",
         "fatigue.distance_km": "11.0", "fatigue.hysteresis": "0.9",
