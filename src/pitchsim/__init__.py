@@ -7,7 +7,7 @@ from .energy import (Battery, RadioModel, direct_tx_energy, multihop_rx_energy,
                      multihop_total_energy, multihop_tx_energy)
 from .engine import (MatchResult, MetricsLog, World, aggregate, run_match,
                      simulate_mobility, stability_period)
-from .geometry import FieldConfig, Point, clamp_to_field, distance, nearest_sink
+from .geometry import FieldConfig, Point, distance
 from .mobility import MobilityParams, PlayerKinematics, SpeedMode
 from .physiology import (FatigueCause, FatigueEvent, FatigueMonitor,
                          FatigueThresholds, LactateParams, step_lactate)

@@ -11,6 +11,7 @@ import os
 import sys
 
 from .engine import World, run_match
+from .protocol import THEFAME, WSTM
 from .report import emit_comparison_reports, emit_run_reports
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -91,12 +92,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _paired_runs(base: Scenario):
+def _paired_runs(fame: Scenario, wstm: Scenario):
     """Both protocols on one world: movement, lactate and fatigue events
     are computed once, and the world is dropped on return."""
-    world = World(base)
-    return (run_match(base.with_protocol("thefame"), world=world),
-            run_match(base.with_protocol("wstm"), world=world))
+    world = World(fame)
+    return run_match(fame, world=world), run_match(wstm, world=world)
 
 
 def _cmd_compare(args) -> int:
@@ -106,11 +106,13 @@ def _cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"pitchsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # every seed is validated before the first file is written
-    scenarios = [(seed, scenario.with_seed(seed)) for seed in seeds]
+    # both protocols' scenarios of every seed are validated before the
+    # first file is written
+    fame, wstm = scenario.with_protocol(THEFAME), scenario.with_protocol(WSTM)
+    pairs = [(seed, fame.with_seed(seed), wstm.with_seed(seed)) for seed in seeds]
     out_dir = args.out or _default_out()
     paths = emit_comparison_reports(
-        ((seed, *_paired_runs(s)) for seed, s in scenarios), out_dir)
+        ((seed, *_paired_runs(f, w)) for seed, f, w in pairs), out_dir)
     print(f"compared {len(seeds)} paired seeds ({2 * len(seeds)} runs)")
     print(f"  wrote {paths[-2]}")
     print(f"  wrote {paths[-1]}")

@@ -1,4 +1,4 @@
-"""Pitch geometry: points, field layout, sink placement, distance queries.
+"""Pitch geometry: points, field layout, sink placement, the nearest-sink query.
 
 All lengths are in yards. The pitch is the axis-aligned rectangle
 [0, length] x [0, width]; sinks are fixed collection points on or near
@@ -79,15 +79,10 @@ class FieldConfig:
         return cls(length, width, sinks)
 
 
-def nearest_sink(p: Point, field: FieldConfig) -> tuple[int, float]:
-    """Return (sink_id, distance) of the closest sink; ties go to the lowest id."""
-    sid, d, _ = nearest_sink_xy(p.x, p.y, field)
-    return sid, d
-
-
 def nearest_sink_xy(x: float, y: float,
                     field: FieldConfig) -> tuple[int, float, Point]:
-    """``nearest_sink`` on raw coordinates, also returning the sink's position.
+    """Return (sink_id, distance, position) of the sink closest to
+    ``(x, y)``; ties go to the lowest id.
 
     The distance is ``distance(Point(x, y), pos)`` bit for bit, without
     building the Point.
@@ -100,12 +95,3 @@ def nearest_sink_xy(x: float, y: float,
         if d < best_d or (d == best_d and sid < best_id):
             best_id, best_d, best_pos = sid, d, pos
     return best_id, best_d, best_pos
-
-
-def clamp_to_field(p: Point, field: FieldConfig) -> Point:
-    """Project a point onto the pitch rectangle (identity when inside)."""
-    x = min(max(p.x, 0.0), field.length)
-    y = min(max(p.y, 0.0), field.width)
-    if x == p.x and y == p.y:
-        return p
-    return Point(x, y)

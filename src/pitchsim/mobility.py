@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from math import inf
 
-from .geometry import METERS_PER_YARD, FieldConfig, Point, clamp_to_field
+from .geometry import METERS_PER_YARD, FieldConfig, Point
 
 KMH_TO_YDS = (1000.0 / METERS_PER_YARD) / 3600.0   # km/h -> yd/s
 KM_PER_YARD = METERS_PER_YARD / 1000.0
@@ -32,7 +32,6 @@ MATCH_SECONDS = 5400.0
 
 
 class SpeedMode(enum.Enum):
-    REST = "rest"
     WALK = "walk"
     RUN = "run"
     SPRINT = "sprint"
@@ -147,7 +146,7 @@ def step_player(k: PlayerKinematics, ref: GroupReference | Point, field: FieldCo
     The target is ref + offset + a uniform draw from the deviation disc,
     clamped to the pitch; the move toward it is capped at the distance the
     current mode speed covers in one second. The deviation is drawn even
-    for resting players so RNG consumption does not depend on the mode
+    at zero speed so RNG consumption does not depend on the mode
     sequence.
     """
     r = p.deviation_radius * math.sqrt(rng.random())
@@ -238,10 +237,7 @@ def formation_offsets(n_players: int, field: FieldConfig) -> list[tuple[float, f
 
 def make_players(n_players: int, field: FieldConfig) -> list[PlayerKinematics]:
     """Players placed at their formation slots around the pitch center."""
-    ref = Point(field.length / 2.0, field.width / 2.0)
-    players = []
-    for pid, (ox, oy) in enumerate(formation_offsets(n_players, field)):
-        start = clamp_to_field(Point(ref.x + ox, ref.y + oy), field)
-        players.append(PlayerKinematics(pid, start.x, start.y, ox, oy))
-    return players
+    cx, cy = field.length / 2.0, field.width / 2.0
+    return [PlayerKinematics(pid, cx + ox, cy + oy, ox, oy)
+            for pid, (ox, oy) in enumerate(formation_offsets(n_players, field))]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import hypot
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import EmptySinkSetError, FieldConfig, nearest_sink_xy
+from .geometry import FieldConfig, nearest_sink_xy
 from .mobility import PlayerKinematics
 from .physiology import FatigueEvent
 
@@ -59,10 +59,6 @@ class Route:
     def n_hops(self) -> int:
         return len(self.hops)
 
-    @property
-    def sink_id(self) -> int:
-        return self.hops[-1].dst_sink
-
 
 def thefame_route(player: PlayerKinematics, field: FieldConfig) -> Route:
     """Single hop from the player to its nearest sink."""
@@ -79,11 +75,9 @@ def wstm_route(player: PlayerKinematics, all_players: Sequence[PlayerKinematics]
     dead-ends or the hop budget runs out.
 
     It reads raw coordinates and builds no ``Point``; every distance it
-    compares or puts in a ``Hop`` equals ``geometry.distance`` (and the
-    sink choice ``nearest_sink``) bit for bit.
+    compares or puts in a ``Hop`` equals ``geometry.distance`` bit for
+    bit; the holder's sink comes from ``nearest_sink_xy``, as under thefame.
     """
-    if not field.sinks:
-        raise EmptySinkSetError("field has no sinks")
     holder = player
     hops: list[Hop] = []
     while len(hops) < max_hops:

@@ -94,24 +94,6 @@ def write_timeseries(rows: Sequence[ReportRow], path: str) -> str:
     return _write_csv(path, TIMESERIES_COLUMNS, rows)
 
 
-def read_timeseries(path: str) -> list[ReportRow]:
-    """Parse an emitted timeseries back; exact round-trip of every value."""
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TIMESERIES_COLUMNS:
-            raise ValueError(f"unexpected header {header!r}")
-        for rec in reader:
-            rows.append(ReportRow(
-                round=int(rec[0]), alive=int(rec[1]), sent_cum=int(rec[2]),
-                dropped_cum=int(rec[3]), received_cum=int(rec[4]),
-                residual_total_j=float(rec[5]),
-                mean_delay_s=float(rec[6]) if rec[6] else None,
-            ))
-    return rows
-
-
 def write_events(events: Sequence[FatigueEvent], path: str) -> str:
     return _write_csv(path, EVENT_COLUMNS, (
         (ev.player_id, float(ev.time), ev.cause.value, ev.value,

@@ -63,6 +63,11 @@ class Scenario:
             raise ValidationError(f"players must be in [1, {MAX_PLAYERS}]")
         if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
             raise ValidationError("field dimensions must be in (0, inf)")
+        # FieldConfig's sink presets compute 51 * length (thefame) and
+        # 106 * width (extended apron) before dividing; compare runs both
+        # protocols, so every preset must stay finite
+        if not (51.0 * self.field_length < math.inf and 106.0 * self.field_width < math.inf):
+            raise ValidationError("field dimensions too large: a sink position overflows")
         if self.sink_placement not in (CORRECTED, EXTENDED):
             raise ValidationError(
                 f"field.sink_placement must be corrected or extended, got {self.sink_placement!r}")
@@ -190,9 +195,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
 def parse_scenario(path: str) -> Scenario:
     """Read and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read(), source=path)
-
-
-def scenario_keys() -> list[str]:
-    """All recognized configuration keys, for docs and error hints."""
-    return sorted(_KEYS)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_scenario_text(text, source=path)

@@ -167,6 +167,26 @@ def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+@pytest.mark.parametrize("text", [
+    b"field.length = 1e308\n",                   # a thefame sink at x = inf
+    b"field.length = 1e308\nprotocol = wstm\n",  # and in compare's thefame twin
+    b"# caf\xe9 (latin-1)\n",
+], ids=["huge-field", "huge-field-wstm", "not-utf8"])
+def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
+                                                         command, text):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(FAST.encode() + text)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(path)]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
+    assert not out.exists()
+
+
 def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):
     # the range is one argument; argparse takes a value that starts with "-"
     # and is not a plain number for a flag

@@ -76,8 +76,8 @@ def test_single_event_debits_exactly_one_battery_by_direct_tx_amount():
     field = sim.field
     for pid in fired:
         kin = sim.kins[pid]  # routing ran after this round's movement
-        from pitchsim.geometry import Point, nearest_sink
-        _, dist = nearest_sink(Point(kin.x, kin.y), field)
+        from pitchsim.geometry import nearest_sink_xy
+        _, dist, _ = nearest_sink_xy(kin.x, kin.y, field)
         expected = direct_tx_energy(radio, radio.packet_bits, dist)
         assert debited[pid] == [expected]
 

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point,
-                               clamp_to_field, distance, nearest_sink)
+from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point, distance,
+                               nearest_sink_xy)
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False)
 points = st.builds(Point, coords, coords)
@@ -68,12 +68,12 @@ def test_nearest_sink_by_exhaustive_comparison():
     p = Point(1, 34)
     dists = {sid: distance(p, pos) for sid, pos in DEFAULT.sinks}
     expected = min(dists, key=lambda sid: (dists[sid], sid))
-    sid, d = nearest_sink(p, DEFAULT)
+    sid, d = nearest_sink_xy(p.x, p.y, DEFAULT)[:2]
     assert (sid, d) == (expected, dists[expected]) == (1, 1.0)
 
 
 def test_nearest_sink_coincident_point():
-    assert nearest_sink(Point(0, 34), DEFAULT) == (1, 0.0)
+    assert nearest_sink_xy(0.0, 34.0, DEFAULT)[:2] == (1, 0.0)
 
 
 def test_nearest_sink_center_tie_breaks_low_id():
@@ -81,41 +81,21 @@ def test_nearest_sink_center_tie_breaks_low_id():
     p = Point(53, 34)
     dists = sorted((distance(p, pos), sid) for sid, pos in DEFAULT.sinks)
     assert dists[0][0] == dists[1][0]  # genuine tie
-    sid, d = nearest_sink(p, DEFAULT)
+    sid, d = nearest_sink_xy(p.x, p.y, DEFAULT)[:2]
     assert sid == 3
     assert d == math.sqrt(2 * 2 + 34 * 34)
 
 
 def test_nearest_sink_empty_set():
     with pytest.raises(EmptySinkSetError):
-        nearest_sink(Point(0, 0), FieldConfig(106, 68, ()))
+        nearest_sink_xy(0.0, 0.0, FieldConfig(106, 68, ()))
 
 
 @given(points)
 def test_nearest_sink_dominates_all_sinks(p):
-    sid, d = nearest_sink(p, DEFAULT)
+    sid, d = nearest_sink_xy(p.x, p.y, DEFAULT)[:2]
     for other_id, pos in DEFAULT.sinks:
         assert d <= distance(p, pos)
-
-
-def test_clamp_inside_is_identity():
-    assert clamp_to_field(Point(50, 30), DEFAULT) == Point(50, 30)
-
-
-def test_clamp_negative_x():
-    assert clamp_to_field(Point(-3, 30), DEFAULT) == Point(0, 30)
-
-
-def test_clamp_both_axes():
-    assert clamp_to_field(Point(200, 200), DEFAULT) == Point(106, 68)
-
-
-@given(points)
-def test_clamp_idempotent_and_in_bounds(p):
-    once = clamp_to_field(p, DEFAULT)
-    assert clamp_to_field(once, DEFAULT) == once
-    assert 0.0 <= once.x <= DEFAULT.length
-    assert 0.0 <= once.y <= DEFAULT.width
 
 
 def test_field_rejects_bad_dimensions_and_duplicate_ids():

@@ -32,7 +32,8 @@ def test_speed_conversion():
 
 
 def test_rest_does_not_move():
-    k = kin(mode=SpeedMode.REST, speed=0.0)
+    # a player at zero speed, as walking is with mobility.v_walk = 0
+    k = kin(mode=SpeedMode.WALK, speed=0.0)
     before = (k.x, k.y, k.cumulative_km)
     step_player(k, Point(80.0, 10.0), FIELD, PARAMS, random.Random(1))
     assert (k.x, k.y, k.cumulative_km) == before
@@ -184,9 +185,14 @@ def test_formation_offsets_shape():
 
 
 def test_make_players_start_inside_field():
-    for k in make_players(24, FIELD):
-        assert 0.0 <= k.x <= FIELD.length
-        assert 0.0 <= k.y <= FIELD.width
+    # every formation slot lies inside the field: the start needs no clamp
+    for field in (FIELD, FieldConfig(1.0, 1.0), FieldConfig(1e-300, 1e-300),
+                  FieldConfig(1e300, 1e300)):
+        for k in make_players(24, field):
+            assert (k.x, k.y) == (field.length / 2.0 + k.offset_x,
+                                  field.width / 2.0 + k.offset_y), field
+            assert 0.0 <= k.x <= field.length, field
+            assert 0.0 <= k.y <= field.width, field
 
 
 def test_params_validation():

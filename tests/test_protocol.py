@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pitchsim.geometry import FieldConfig, Point, distance, nearest_sink
+from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point, distance,
+                               nearest_sink_xy)
 from pitchsim.mobility import PlayerKinematics
 from pitchsim.physiology import FatigueCause, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, Route, thefame_route,
@@ -30,8 +31,16 @@ def test_route_validation():
 def test_thefame_route_is_single_hop_to_nearest():
     r = thefame_route(player(3, 1, 34), SIX)
     assert r.n_hops == 1
-    assert r.sink_id == 1
+    assert r.hops[-1].dst_sink == 1
     assert r.hops[0].dist == 1.0
+
+
+def test_routes_reject_an_empty_sink_set():
+    lone = player(0, 1, 1)
+    with pytest.raises(EmptySinkSetError):
+        thefame_route(lone, FieldConfig(106, 68, ()))
+    with pytest.raises(EmptySinkSetError):
+        wstm_route(lone, [lone], FieldConfig(106, 68, ()), max_hops=10)
 
 
 def test_thefame_route_coincident_sink():
@@ -51,7 +60,7 @@ def test_wstm_goalkeeper_sends_direct():
     mate = player(1, 30, 34)    # every other player farther than the sink
     r = wstm_route(gk, [gk, mate], TWO, max_hops=10)
     assert r is not None
-    assert r.n_hops == 1 and r.sink_id == 1
+    assert r.n_hops == 1 and r.hops[-1].dst_sink == 1
 
 
 def test_wstm_relay_between_holder_and_sink():
@@ -61,7 +70,7 @@ def test_wstm_relay_between_holder_and_sink():
     assert r is not None
     assert [h.dst_player or -1 for h in r.hops] == [1, -1]
     assert r.n_hops == 2
-    assert r.sink_id == 1
+    assert r.hops[-1].dst_sink == 1
 
 
 def test_wstm_degenerates_to_direct_with_no_other_players():
@@ -95,7 +104,7 @@ def test_wstm_forwards_to_globally_best_relay():
     r = wstm_route(chain[0], chain, TWO, max_hops=10)
     assert r is not None
     assert [h.dst_player for h in r.hops] == [3, None]
-    assert r.n_hops == 2 and r.sink_id == 1
+    assert r.n_hops == 2 and r.hops[-1].dst_sink == 1
 
 
 def test_wstm_max_hops_budget():
@@ -188,7 +197,8 @@ def _assert_hops_use_geometry(route, players, field):
         if hop.dst_player is not None:
             assert hop.dist == distance(pos[hop.src], pos[hop.dst_player])
         else:
-            assert (hop.dst_sink, hop.dist) == nearest_sink(pos[hop.src], field)
+            src = pos[hop.src]
+            assert (hop.dst_sink, hop.dist) == nearest_sink_xy(src.x, src.y, field)[:2]
 
 
 def test_wstm_hop_distances_are_bitwise_those_of_geometry():
@@ -211,12 +221,12 @@ def test_wstm_hop_distances_are_bitwise_those_of_geometry():
 def test_wstm_equidistant_sinks_go_to_the_lower_id():
     midfield = player(0, 53, 20)
     r = wstm_route(midfield, [midfield], TWO, max_hops=10)
-    assert r.sink_id == 1
+    assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], TWO)
     # the rule is on the id, not on the order the field lists its sinks
     swapped = FieldConfig(106, 68, tuple(reversed(TWO.sinks)))
     r = wstm_route(midfield, [midfield], swapped, max_hops=10)
-    assert r.sink_id == 1
+    assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], swapped)
 
 

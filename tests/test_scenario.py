@@ -1,5 +1,6 @@
+import sys
 from dataclasses import fields
-from math import inf, nan
+from math import inf, isfinite, nan, nextafter
 
 import pytest
 
@@ -12,7 +13,7 @@ from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import (_KEYS, _SECTION_TYPES, ParseError, Scenario,
                                ValidationError, parse_scenario,
-                               parse_scenario_text, scenario_keys)
+                               parse_scenario_text)
 
 
 def test_empty_text_yields_all_defaults():
@@ -113,6 +114,24 @@ def test_non_finite_float_rejected(line, tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and f"{path}:2" in stderr[0] and key in stderr[0]
+
+
+@pytest.mark.parametrize("name,factor", [("field_length", 51.0), ("field_width", 106.0)])
+def test_field_is_valid_exactly_when_every_sink_layout_is_finite(name, factor):
+    # a finite dimension can still put a sink at inf; a scenario is valid for
+    # every protocol and placement or for none, since compare runs its twin
+    largest = sys.float_info.max / factor      # within a few ulps of the edge
+    while factor * nextafter(largest, inf) < inf:
+        largest = nextafter(largest, inf)
+    while factor * largest == inf:
+        largest = nextafter(largest, 0.0)
+    for protocol in ("thefame", "wstm"):
+        for placement in ("corrected", "extended"):
+            kwargs = {"protocol": protocol, "sink_placement": placement}
+            field = Scenario(**kwargs, **{name: largest}).build_field()
+            assert all(isfinite(pos.x) and isfinite(pos.y) for _, pos in field.sinks)
+            with pytest.raises(ValidationError, match="too large"):
+                Scenario(**kwargs, **{name: nextafter(largest, inf)})
 
 
 NON_FINITE_PROBES = [
@@ -253,7 +272,7 @@ def test_every_documented_key_parses():
         "mobility.group_speed_kmh": "7", "field.length": "106",
         "field.width": "68", "seed": "1", "drop_probability": "0.3",
     }
-    for key in scenario_keys():
+    for key in sorted(_KEYS):
         if key in overrides:
             value = overrides[key]
         elif key in samples[str]:
