@@ -61,9 +61,9 @@ from typing import NamedTuple
 from .channel import propagation_delay, transmit_hop
 from .energy import Battery, direct_tx_energy, relay_rx_energy
 from .geometry import FieldConfig
-from .mobility import (GroupReference, MobilityParams, PlayerKinematics,
-                       SpeedMode, make_players, schedule_mode,
-                       step_group_reference, step_player)
+from .mobility import (SPRINT, GroupReference, MobilityParams, PlayerKinematics,
+                       make_players, schedule_mode, step_group_reference,
+                       step_player)
 from .physiology import FatigueEvent, FatigueMonitor, step_lactate
 from .protocol import (THEFAME, Packet, Route, thefame_route,
                        trigger_transmissions, wstm_route)
@@ -249,16 +249,19 @@ class MatchSim:
         self.feed: list[Delivery] = []
         self._ids = itertools.count(1)
         self._round = 0
+        self._residual: float | None = None   # residual_total(); _debit clears it
 
     def alive_count(self) -> int:
         return len(self.alive)
 
     def residual_total(self) -> float:
-        # left to right: since Python 3.12 sum() compensates float rounding
-        total = 0.0
-        for b in self.batteries:
-            total += b.residual
-        return total
+        if self._residual is None:
+            # left to right: since Python 3.12 sum() compensates float rounding
+            total = 0.0
+            for b in self.batteries:
+                total += b.residual
+            self._residual = total
+        return self._residual
 
     def run_round(self) -> RoundRecord:
         self._round += 1
@@ -339,6 +342,7 @@ class MatchSim:
         # debit killed it
         battery = self.batteries[player_id]
         self.metrics.debits[player_id].append(battery.debit(amount))
+        self._residual = None
         if battery.dead:
             self.metrics.deaths.append((player_id, t))
             self.alive.remove(self.kins[player_id])
@@ -422,9 +426,9 @@ def simulate_mobility(scenario: Scenario) -> MobilityRun:
         world.advance()
         for k in world.kins:
             was_sprinting = k.player_id in open_since
-            if k.mode is SpeedMode.SPRINT and not was_sprinting:
+            if k.mode is SPRINT and not was_sprinting:
                 open_since[k.player_id] = t
-            elif k.mode is not SpeedMode.SPRINT and was_sprinting:
+            elif k.mode is not SPRINT and was_sprinting:
                 start = open_since.pop(k.player_id)
                 sprints.append(SprintEpisode(k.player_id, start, t - start))
     for pid, start in sorted(open_since.items()):

@@ -57,8 +57,11 @@ class LactateParams:
 
 def step_lactate(level: float, v: float, params: LactateParams) -> float:
     """One 1 s Euler step of the production/clearance law; never below zero."""
-    production = params.alpha * max(0.0, v - params.v_aerobic)
-    clearance = params.beta * max(0.0, level - params.l_base)
+    # d if d > 0.0 else 0.0 is max(0.0, d) without a builtin call, same floats
+    d = v - params.v_aerobic
+    production = params.alpha * (d if d > 0.0 else 0.0)
+    d = level - params.l_base
+    clearance = params.beta * (d if d > 0.0 else 0.0)
     new = level + (production - clearance)
     return new if new > 0.0 else 0.0
 

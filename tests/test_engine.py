@@ -261,6 +261,28 @@ def test_alive_list_equals_a_fresh_recount_every_round():
     assert sim.alive == []
 
 
+@pytest.mark.parametrize("protocol", ["wstm", "thefame"])
+def test_residual_total_equals_a_fresh_sum_every_round(protocol):
+    # default scenario, seed 0: wstm loses every node by round 180, thefame
+    # debits on 16 of its 5400 rounds; residual_total re-sums only after a debit
+    sim = MatchSim(Scenario(protocol=protocol))
+    debit_rounds = 0
+    for _ in range(sim.scenario.rounds):
+        debits_before = sum(map(len, sim.metrics.debits.values()))
+        rec = sim.run_round()
+        debit_rounds += sum(map(len, sim.metrics.debits.values())) > debits_before
+        fresh = 0.0
+        for b in sim.batteries:
+            fresh += b.residual
+        assert rec.residual_j == fresh
+        if rec.alive == 0:
+            break
+    if protocol == "wstm":
+        assert sim.alive == [] and rec.residual_j == 0.0
+    else:
+        assert debit_rounds == 16 and rec.round == 5400
+
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 

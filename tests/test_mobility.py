@@ -2,13 +2,15 @@ import dataclasses
 import importlib.util
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pitchsim.engine import simulate_mobility
 from pitchsim.geometry import FieldConfig, Point
-from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, GroupReference,
+from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, TWO_PI, GroupReference,
                                MobilityParams, PlayerKinematics, SpeedMode,
                                formation_offsets, make_players, schedule_mode,
                                step_group_reference, step_player)
@@ -61,6 +63,74 @@ def test_positions_stay_inside_field():
         assert 0.0 <= k.y <= FIELD.width
 
 
+def min_max_step_player(k, ref, field, p, rng):
+    """step_player written with builtin min/max and math.* calls: the
+    reference its conditional-expression clamp must match bit for bit."""
+    r = p.deviation_radius * math.sqrt(rng.random())
+    theta = TWO_PI * rng.random()
+    tx = ref.x + k.offset_x + r * math.cos(theta)
+    ty = ref.y + k.offset_y + r * math.sin(theta)
+    tx = min(max(tx, 0.0), field.length)
+    ty = min(max(ty, 0.0), field.width)
+    cap = k.speed_kmh * KMH_TO_YDS
+    dx = tx - k.x
+    dy = ty - k.y
+    dist = math.hypot(dx, dy)
+    if dist > cap:
+        if cap <= 0.0:
+            return k
+        scale = cap / dist
+        tx = k.x + dx * scale
+        ty = k.y + dy * scale
+        moved = cap
+    else:
+        moved = dist
+    k.cumulative_km += moved * KM_PER_YARD
+    k.x = tx
+    k.y = ty
+    return k
+
+
+@st.composite
+def clamp_axes(draw):
+    """Per axis: the field side, the reference, the offset and the player's
+    position. A zero deviation radius puts the target exactly on the
+    reference plus offset (plus a signed zero), so targets land beyond each
+    edge, on it, and on both zeros."""
+    axes = []
+    for default in (106.0, 68.0):
+        side = draw(st.sampled_from([default]) | st.floats(1e-3, 1e3))
+        edges = st.sampled_from([-0.0, 0.0, side, math.nextafter(0.0, -1.0),
+                                 math.nextafter(side, math.inf), -side, 2.0 * side])
+        axes.append((side,
+                     draw(edges | st.floats(-2.0 * side, 2.0 * side)),
+                     draw(st.sampled_from([-0.0, 0.0]) | st.floats(-side, side)),
+                     draw(edges | st.floats(0.0, side))))
+    return axes
+
+
+@given(clamp_axes(),
+       st.sampled_from([0.0]) | st.floats(0.0, 50.0),
+       st.sampled_from([0.0, 4.5, 25.0]) | st.floats(0.0, 40.0),
+       st.integers(0, 2**32))
+# seed 3 draws a theta with cos < 0 and sin < 0: the target is -0.0 on both axes
+@example([(106.0, -0.0, -0.0, 5.0), (68.0, -0.0, -0.0, -0.0)], 0.0, 25.0, 3)
+@example([(106.0, 106.0, 0.0, 0.0), (68.0, 68.0, -0.0, 68.0)], 0.0, 4.5, 3)
+def test_step_player_matches_the_min_max_reference(axes, radius, speed, seed):
+    (length, rx, ox, x), (width, ry, oy, y) = axes
+    field = FieldConfig(length, width)
+    params = dataclasses.replace(PARAMS, deviation_radius=radius)
+    ref = Point(rx, ry)
+    got, want = (PlayerKinematics(0, x, y, ox, oy, speed_kmh=speed) for _ in range(2))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert step_player(got, ref, field, params, rng) is got
+    min_max_step_player(want, ref, field, params, ref_rng)
+    # struct bits, so that -0.0 and 0.0 differ
+    assert (struct.pack("<3d", got.x, got.y, got.cumulative_km)
+            == struct.pack("<3d", want.x, want.y, want.cumulative_km))
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_cumulative_distance_matches_independent_accumulator():
     rng = random.Random(3)
     sched = random.Random(4)
@@ -104,10 +174,10 @@ def test_zero_sprint_rate_never_sprints():
 
 def test_sprint_hazard_follows_the_params_it_was_built_from():
     # 100 sprints of 3.5 s mean, each with 2x recovery, leave 4350 s
-    assert PARAMS.sprint_hazard() == 100.0 / (5400.0 - 100.0 * 3.5 * 3.0)
-    assert MobilityParams(sprints_per_match=0.0).sprint_hazard() == 0.0
+    assert PARAMS.sprint_hazard == 100.0 / (5400.0 - 100.0 * 3.5 * 3.0)
+    assert MobilityParams(sprints_per_match=0.0).sprint_hazard == 0.0
     fewer = dataclasses.replace(PARAMS, sprints_per_match=50.0)
-    assert fewer.sprint_hazard() == 50.0 / (5400.0 - 50.0 * 3.5 * 3.0)
+    assert fewer.sprint_hazard == 50.0 / (5400.0 - 50.0 * 3.5 * 3.0)
     assert fewer == MobilityParams(sprints_per_match=50.0)
 
 

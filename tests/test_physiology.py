@@ -1,4 +1,7 @@
+import struct
+
 import pytest
+from hypothesis import given, strategies as st
 
 from pitchsim.physiology import (FatigueCause, FatigueMonitor, FatigueThresholds,
                                  LactateParams, onset_alpha, step_lactate)
@@ -58,6 +61,29 @@ def test_growth_linear_without_clearance():
         level = step_lactate(level, v, params)
         closed = params.l_base + rate * t
         assert abs(level - closed) / closed < 1e-9
+
+
+def max_step_lactate(level, v, params):
+    """step_lactate written with builtin max: the reference its conditional
+    expressions must match bit for bit."""
+    production = params.alpha * max(0.0, v - params.v_aerobic)
+    clearance = params.beta * max(0.0, level - params.l_base)
+    new = level + (production - clearance)
+    return new if new > 0.0 else 0.0
+
+
+@given(st.data())
+def test_step_lactate_matches_the_max_reference(data):
+    params = data.draw(st.builds(LactateParams,
+                                 l_base=st.sampled_from([1.0, 0.0, -0.0]) | st.floats(-5.0, 5.0),
+                                 v_aerobic=st.sampled_from([12.9, 0.0, -0.0]) | st.floats(-5.0, 30.0),
+                                 alpha=st.floats(1e-6, 1.0),
+                                 beta=st.sampled_from([0.0, 0.005]) | st.floats(0.0, 0.999)))
+    # on each knee and at both zeros
+    level = data.draw(st.sampled_from([params.l_base, 0.0, -0.0]) | st.floats(-10.0, 10.0))
+    v = data.draw(st.sampled_from([params.v_aerobic, 0.0, -0.0]) | st.floats(-5.0, 40.0))
+    want = max_step_lactate(level, v, params)
+    assert struct.pack("<d", step_lactate(level, v, params)) == struct.pack("<d", want)
 
 
 def test_params_validation():
