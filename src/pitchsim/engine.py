@@ -42,7 +42,9 @@ world it ran on, which records them only when built with
 order. It starts with every player and loses a player inside the debit
 that kills its node, so a node that dies mid-round is out of every
 later route of that round. The trigger, the wstm router and
-``alive_count`` read this list instead of rescanning the batteries.
+``alive_count`` read this list instead of rescanning the batteries. The
+first wstm packet routed on a snapshot builds a ``NextHops`` over it and
+this list; loading a snapshot, or a death in ``_debit``, drops the table.
 
 ``move_players`` is the one movement loop, and ``World.advance`` its
 one caller. ``simulate_mobility`` plays a world with no match on it, for
@@ -65,7 +67,7 @@ from .mobility import (SPRINT, GroupReference, MobilityParams, PlayerKinematics,
                        make_players, schedule_mode, step_group_reference,
                        step_player)
 from .physiology import FatigueEvent, FatigueMonitor, step_lactate
-from .protocol import (THEFAME, Packet, Route, thefame_route,
+from .protocol import (THEFAME, NextHops, Packet, Route, thefame_route,
                        trigger_transmissions, wstm_route)
 from .scenario import Scenario
 from .seeding import stream
@@ -250,6 +252,7 @@ class MatchSim:
         self._ids = itertools.count(1)
         self._round = 0
         self._residual: float | None = None   # residual_total(); _debit clears it
+        self._hops: NextHops | None = None    # wstm steps of the loaded snapshot
 
     def alive_count(self) -> int:
         return len(self.alive)
@@ -288,6 +291,7 @@ class MatchSim:
             for kin, x, y in zip(self.kins, snapshot[::2], snapshot[1::2]):
                 kin.x = x
                 kin.y = y
+            self._hops = None
         for packet in packets:
             route = self._route(packet)
             if route is None:
@@ -307,7 +311,9 @@ class MatchSim:
         origin = self.kins[packet.origin]
         if self.scenario.protocol == THEFAME:
             return thefame_route(origin, self.field)
-        return wstm_route(origin, self.alive, self.field, self.scenario.max_hops)
+        if self._hops is None:
+            self._hops = NextHops(self.alive, self.field)
+        return wstm_route(origin, self._hops, self.scenario.max_hops)
 
     def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
         batteries = self.batteries
@@ -346,6 +352,7 @@ class MatchSim:
         if battery.dead:
             self.metrics.deaths.append((player_id, t))
             self.alive.remove(self.kins[player_id])
+            self._hops = None
 
     def run(self) -> MatchResult:
         early_stop = None

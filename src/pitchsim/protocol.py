@@ -5,9 +5,13 @@ nearest sink. WSTM emits a status packet per alive player every
 ``wstm.period_s`` seconds (ten by default) and forwards it greedily: a
 holder hands the packet straight to its nearest sink when that sink is
 nearer than every other alive player, otherwise to the alive player
-closest to that sink among those strictly closer to it than the holder
-(ties to the lowest player id). A packet with no strictly-closer relay,
-or one that runs out of hops, fails with no route.
+nearest that sink (ties to the lowest player id) if it is strictly
+nearer than the holder; with no such relay, or out of hops, the packet
+fails with no route. A step reads the holder, the positions and the
+alive set, never the packet's origin, so ``NextHops`` computes each
+holder's step once per snapshot and alive set. Distances equal
+``geometry.distance`` bit for bit, with no ``Point`` built; a holder's
+own is ``nearest_sink_xy``'s, so it never relays to itself.
 
 The protocol name (``Scenario.protocol``) is the whole protocol
 identity: it fixes the trigger, the sink preset and the routing rule.
@@ -66,44 +70,49 @@ def thefame_route(player: PlayerKinematics, field: FieldConfig) -> Route:
     return Route((Hop(player.player_id, None, sid, d),))
 
 
-def wstm_route(player: PlayerKinematics, all_players: Sequence[PlayerKinematics],
-               field: FieldConfig, max_hops: int) -> Optional[Route]:
-    """Greedy geographic forwarding toward the holder's nearest sink.
+class NextHops:
+    """The greedy steps of one snapshot over its alive players, each
+    computed on first use by ``wstm_route`` and kept: ``(hop, relay)``,
+    with relay None on a sink hop, or None at a dead end."""
 
-    ``all_players`` must contain only alive players (the origin included);
-    dead nodes never appear in routes. Returns None when the greedy rule
-    dead-ends or the hop budget runs out.
+    def __init__(self, players: Sequence[PlayerKinematics], field: FieldConfig):
+        self.players = players          # alive only, the origins included
+        self.field = field
+        self.steps: dict[int, Optional[tuple[Hop, Optional[PlayerKinematics]]]] = {}
+        self.nearest: dict[int, tuple[float, int, PlayerKinematics]] = {}  # by sink id
 
-    It reads raw coordinates and builds no ``Point``; every distance it
-    compares or puts in a ``Hop`` equals ``geometry.distance`` bit for
-    bit; the holder's sink comes from ``nearest_sink_xy``, as under thefame.
-    """
-    holder = player
-    hops: list[Hop] = []
-    while len(hops) < max_hops:
+    def step(self, holder: PlayerKinematics) -> Optional[tuple[Hop, Optional[PlayerKinematics]]]:
         hid, hx, hy = holder.player_id, holder.x, holder.y
-        sid, d_sink, sink = nearest_sink_xy(hx, hy, field)
-        sx, sy = sink.x, sink.y
-        direct = True
-        best, best_d, best_id = None, d_sink, -1
-        for q in all_players:
-            qid = q.player_id
-            if qid == hid:
-                continue
-            qx, qy = q.x, q.y
-            if direct and hypot(hx - qx, hy - qy) < d_sink:
-                direct = False
-            dq = hypot(qx - sx, qy - sy)
-            if dq < best_d or (dq == best_d and qid < best_id):
-                best, best_d, best_id = q, dq, qid
-        if direct:
-            hops.append(Hop(hid, None, sid, d_sink))
-            return Route(tuple(hops))
-        if best is None:
+        sid, d_sink, sink = nearest_sink_xy(hx, hy, self.field)
+        for q in self.players:
+            if hypot(hx - q.x, hy - q.y) < d_sink and q.player_id != hid:
+                if sid not in self.nearest:
+                    self.nearest[sid] = min((hypot(p.x - sink.x, p.y - sink.y), p.player_id, p)
+                                            for p in self.players)
+                best_d, best_id, best = self.nearest[sid]
+                step = None if best_d >= d_sink else (
+                    Hop(hid, best_id, None, hypot(hx - best.x, hy - best.y)), best)
+                break
+        else:
+            step = (Hop(hid, None, sid, d_sink), None)
+        self.steps[hid] = step
+        return step
+
+
+def wstm_route(player: PlayerKinematics, table: NextHops,
+               max_hops: int) -> Optional[Route]:
+    """Greedy geographic forwarding toward the holder's nearest sink, one
+    step of ``table`` per hop. Returns None when the greedy rule dead-ends
+    or the hop budget runs out."""
+    steps, hops, holder = table.steps, [], player
+    while holder is not None and len(hops) < max_hops:
+        hid = holder.player_id
+        step = steps[hid] if hid in steps else table.step(holder)
+        if step is None:
             return None
-        hops.append(Hop(hid, best_id, None, hypot(hx - best.x, hy - best.y)))
-        holder = best
-    return None
+        hop, holder = step
+        hops.append(hop)
+    return Route(tuple(hops)) if holder is None else None
 
 
 def trigger_transmissions(protocol: str, period_s: int, t: int,

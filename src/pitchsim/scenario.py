@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .channel import ChannelParams
+from .channel import SPEED_OF_LIGHT_YDS, ChannelParams
 from .energy import RadioModel
 from .geometry import FieldConfig
 from .mobility import MAX_PLAYERS, MobilityParams
@@ -77,6 +77,20 @@ class Scenario:
             raise ValidationError("wstm.max_hops must be at least 1")
         if type(self.wstm_period_s) is not int or self.wstm_period_s <= 0:
             raise ValidationError("wstm.period_s must be positive")
+        # no report may hold inf: bound a run's delay sum and lactate levels
+        ch, lac = self.channel, self.lactate
+        try:
+            delay = self.rounds * self.players * self.max_hops * (
+                self.radio.packet_bits / ch.data_rate_bps + ch.per_hop_processing_s
+                + math.hypot(self.field_length, self.field_width) / SPEED_OF_LIGHT_YDS)
+            level = 9 * (max(lac.l_base, 0.0) + self.rounds * lac.alpha
+                         * max(0.0, self.mobility.v_sprint - lac.v_aerobic))
+        except OverflowError:
+            delay = level = math.inf
+        if not delay < math.inf:
+            raise ValidationError("delays too large: a run's delay sum overflows")
+        if not level < math.inf:
+            raise ValidationError("lactate too large: a reported level overflows")
 
     def build_field(self) -> FieldConfig:
         if self.protocol == WSTM:

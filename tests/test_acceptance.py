@@ -29,7 +29,7 @@ from pitchsim.scenario import Scenario
 from pitchsim.seeding import stream
 
 from test_protocol import _oracle_greedy, player
-from pitchsim.protocol import wstm_route
+from pitchsim.protocol import NextHops, wstm_route
 
 PAIR_SEEDS = range(10)
 
@@ -273,7 +273,7 @@ def test_criterion_7_greedy_oracle():
                        for i in range(n)]
             max_hops = rng.randint(1, 6)
             origin = players[rng.randrange(n)]
-            got = wstm_route(origin, players, field, max_hops)
+            got = wstm_route(origin, NextHops(players, field), max_hops)
             want = _oracle_greedy(origin, players, field, max_hops)
             if want is None:
                 assert got is None

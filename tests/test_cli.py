@@ -172,7 +172,10 @@ def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
     b"field.length = 1e308\n",                   # a thefame sink at x = inf
     b"field.length = 1e308\nprotocol = wstm\n",  # and in compare's thefame twin
     b"# caf\xe9 (latin-1)\n",
-], ids=["huge-field", "huge-field-wstm", "not-utf8"])
+    # finite keys whose run would write inf: a delay sum, a lactate level
+    b"per_hop_processing = 1e308\nprotocol = wstm\ndrop_probability = 0\n",
+    b"lactate.alpha = 1e308\n",
+], ids=["huge-field", "huge-field-wstm", "not-utf8", "huge-delay", "huge-lactate"])
 def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
                                                          command, text):
     path = tmp_path / "scenario.cfg"
@@ -185,6 +188,12 @@ def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["default.cfg", "high-rate.cfg", "wstm.cfg"])
+def test_preset_files_validate(preset):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / preset
+    assert main(["validate", "--scenario", str(path)]) == EXIT_OK
 
 
 def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pitchsim import engine
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
 from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, World,
@@ -11,6 +12,7 @@ from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, World,
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario, parse_scenario
+from test_protocol import _bits, _per_call_wstm_route
 
 
 def small(protocol="thefame", **kwargs):
@@ -259,6 +261,48 @@ def test_alive_list_equals_a_fresh_recount_every_round():
         assert all(a is b for a, b in zip(sim.alive, recount))
     assert min(died_in) == 10
     assert sim.alive == []
+
+
+@pytest.mark.parametrize("energy_j", [0.025, 0.002])
+def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatch):
+    # nodes die inside sending rounds, relays among them, so a next-hop
+    # table kept past a death would route later packets over a dead node
+    sim = MatchSim(small("wstm", initial_energy_j=energy_j))
+    trigger, route = engine.trigger_transmissions, engine.wstm_route
+    pending = []         # origins of this round's packets not yet routed
+    round_start_deaths = [0]
+    calls_after_a_death = 0
+
+    def skip_dead_origins():
+        # no send happens between a skipped packet's turn and this check
+        while pending and sim.batteries[pending[0]].dead:
+            pending.pop(0)
+
+    def triggered(*args):
+        packets = trigger(*args)
+        pending[:] = [p.origin for p in packets]
+        return packets
+
+    def checked(player, table, max_hops):
+        nonlocal calls_after_a_death
+        skip_dead_origins()
+        assert pending.pop(0) == player.player_id
+        calls_after_a_death += len(sim.metrics.deaths) > round_start_deaths[0]
+        want = _per_call_wstm_route(player, list(sim.alive), sim.field, max_hops)
+        got = route(player, table, max_hops)
+        assert _bits(got) == _bits(want)
+        return got
+
+    monkeypatch.setattr(engine, "trigger_transmissions", triggered)
+    monkeypatch.setattr(engine, "wstm_route", checked)
+    for _ in range(sim.scenario.rounds):
+        round_start_deaths[0] = len(sim.metrics.deaths)
+        sim.run_round()
+        skip_dead_origins()
+        assert pending == []
+        if sim.alive_count() == 0:
+            break
+    assert calls_after_a_death > 0
 
 
 @pytest.mark.parametrize("protocol", ["wstm", "thefame"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
@@ -8,8 +9,8 @@ from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point, distance,
                                nearest_sink_xy)
 from pitchsim.mobility import PlayerKinematics
 from pitchsim.physiology import FatigueCause, FatigueEvent
-from pitchsim.protocol import (THEFAME, WSTM, Hop, Route, thefame_route,
-                               trigger_transmissions, wstm_route)
+from pitchsim.protocol import (THEFAME, WSTM, Hop, NextHops, Route,
+                               thefame_route, trigger_transmissions, wstm_route)
 
 SIX = FieldConfig.six_sinks()
 TWO = FieldConfig.goal_sinks()
@@ -40,7 +41,7 @@ def test_routes_reject_an_empty_sink_set():
     with pytest.raises(EmptySinkSetError):
         thefame_route(lone, FieldConfig(106, 68, ()))
     with pytest.raises(EmptySinkSetError):
-        wstm_route(lone, [lone], FieldConfig(106, 68, ()), max_hops=10)
+        wstm_route(lone, NextHops([lone], FieldConfig(106, 68, ())), max_hops=10)
 
 
 def test_thefame_route_coincident_sink():
@@ -58,7 +59,7 @@ def test_thefame_always_one_hop():
 def test_wstm_goalkeeper_sends_direct():
     gk = player(0, 5, 34)       # 5 yards from the left goal sink
     mate = player(1, 30, 34)    # every other player farther than the sink
-    r = wstm_route(gk, [gk, mate], TWO, max_hops=10)
+    r = wstm_route(gk, NextHops([gk, mate], TWO), max_hops=10)
     assert r is not None
     assert r.n_hops == 1 and r.hops[-1].dst_sink == 1
 
@@ -66,7 +67,7 @@ def test_wstm_goalkeeper_sends_direct():
 def test_wstm_relay_between_holder_and_sink():
     holder = player(0, 40, 34)
     relay = player(1, 20, 34)   # exactly between holder and sink 1
-    r = wstm_route(holder, [holder, relay], TWO, max_hops=10)
+    r = wstm_route(holder, NextHops([holder, relay], TWO), max_hops=10)
     assert r is not None
     assert [h.dst_player or -1 for h in r.hops] == [1, -1]
     assert r.n_hops == 2
@@ -75,7 +76,7 @@ def test_wstm_relay_between_holder_and_sink():
 
 def test_wstm_degenerates_to_direct_with_no_other_players():
     lone = player(0, 53, 10)
-    r = wstm_route(lone, [lone], TWO, max_hops=10)
+    r = wstm_route(lone, NextHops([lone], TWO), max_hops=10)
     assert r is not None and r.n_hops == 1
 
 
@@ -83,7 +84,7 @@ def test_wstm_dead_end_is_no_route():
     # a closer teammate that is NOT closer to the sink blocks the greedy rule
     holder = player(0, 50, 34)
     behind = player(1, 52, 34)  # nearer to the holder than sink 1, farther from it
-    assert wstm_route(holder, [holder, behind], TWO, max_hops=10) is None
+    assert wstm_route(holder, NextHops([holder, behind], TWO), max_hops=10) is None
 
 
 def test_wstm_tie_breaks_lowest_player_id():
@@ -91,7 +92,7 @@ def test_wstm_tie_breaks_lowest_player_id():
     a = player(2, 6, 28)
     b = player(1, 6, 40)        # same distance to sink 1 as a
     assert distance(Point(6, 28), Point(0, 34)) == distance(Point(6, 40), Point(0, 34))
-    r = wstm_route(holder, [holder, a, b], TWO, max_hops=10)
+    r = wstm_route(holder, NextHops([holder, a, b], TWO), max_hops=10)
     assert r is not None
     assert r.hops[0].dst_player == 1
     assert r.n_hops == 2
@@ -101,7 +102,7 @@ def test_wstm_forwards_to_globally_best_relay():
     # the rule picks the candidate closest to the sink, not the adjacent one,
     # so evenly spaced lines collapse into two hops
     chain = [player(i, 46 - 12 * i, 34) for i in range(4)]  # x = 46, 34, 22, 10
-    r = wstm_route(chain[0], chain, TWO, max_hops=10)
+    r = wstm_route(chain[0], NextHops(chain, TWO), max_hops=10)
     assert r is not None
     assert [h.dst_player for h in r.hops] == [3, None]
     assert r.n_hops == 2 and r.hops[-1].dst_sink == 1
@@ -110,9 +111,9 @@ def test_wstm_forwards_to_globally_best_relay():
 def test_wstm_max_hops_budget():
     holder = player(0, 40, 34)
     relay = player(1, 15, 34)
-    two_hop = wstm_route(holder, [holder, relay], TWO, max_hops=2)
+    two_hop = wstm_route(holder, NextHops([holder, relay], TWO), max_hops=2)
     assert two_hop is not None and two_hop.n_hops == 2
-    assert wstm_route(holder, [holder, relay], TWO, max_hops=1) is None
+    assert wstm_route(holder, NextHops([holder, relay], TWO), max_hops=1) is None
 
 
 def test_wstm_distance_to_sink_strictly_decreases():
@@ -120,7 +121,7 @@ def test_wstm_distance_to_sink_strictly_decreases():
     for _ in range(300):
         players = [player(i, rng.uniform(0, 106), rng.uniform(0, 68))
                    for i in range(8)]
-        r = wstm_route(players[0], players, TWO, max_hops=10)
+        r = wstm_route(players[0], NextHops(players, TWO), max_hops=10)
         if r is None:
             continue
         positions = {p.player_id: Point(p.x, p.y) for p in players}
@@ -180,7 +181,7 @@ def test_wstm_matches_bruteforce_oracle_on_random_snapshots():
                    for i in range(n)]
         max_hops = rng.randint(1, 6)
         origin = players[rng.randrange(n)]
-        got = wstm_route(origin, players, TWO, max_hops)
+        got = wstm_route(origin, NextHops(players, TWO), max_hops)
         want = _oracle_greedy(origin, players, TWO, max_hops)
         if want is None:
             assert got is None
@@ -211,7 +212,8 @@ def test_wstm_hop_distances_are_bitwise_those_of_geometry():
         coord = rng.randint if i % 4 < 2 else rng.uniform
         n = rng.randint(1, 8)
         players = [player(j, coord(0, 106), coord(0, 68)) for j in range(n)]
-        r = wstm_route(players[rng.randrange(n)], players, field, max_hops=10)
+        r = wstm_route(players[rng.randrange(n)], NextHops(players, field),
+                       max_hops=10)
         if r is not None:
             routes += 1
             _assert_hops_use_geometry(r, players, field)
@@ -220,14 +222,97 @@ def test_wstm_hop_distances_are_bitwise_those_of_geometry():
 
 def test_wstm_equidistant_sinks_go_to_the_lower_id():
     midfield = player(0, 53, 20)
-    r = wstm_route(midfield, [midfield], TWO, max_hops=10)
+    r = wstm_route(midfield, NextHops([midfield], TWO), max_hops=10)
     assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], TWO)
     # the rule is on the id, not on the order the field lists its sinks
     swapped = FieldConfig(106, 68, tuple(reversed(TWO.sinks)))
-    r = wstm_route(midfield, [midfield], swapped, max_hops=10)
+    r = wstm_route(midfield, NextHops([midfield], swapped), max_hops=10)
     assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], swapped)
+
+
+def _per_call_wstm_route(player, all_players, field, max_hops):
+    """Reference copy of the per-call greedy router that rescanned every
+    alive player at each hop; NextHops must give its routes bit for bit."""
+    holder = player
+    hops = []
+    while len(hops) < max_hops:
+        hid, hx, hy = holder.player_id, holder.x, holder.y
+        sid, d_sink, sink = nearest_sink_xy(hx, hy, field)
+        sx, sy = sink.x, sink.y
+        direct = True
+        best, best_d, best_id = None, d_sink, -1
+        for q in all_players:
+            qid = q.player_id
+            if qid == hid:
+                continue
+            qx, qy = q.x, q.y
+            if direct and math.hypot(hx - qx, hy - qy) < d_sink:
+                direct = False
+            dq = math.hypot(qx - sx, qy - sy)
+            if dq < best_d or (dq == best_d and qid < best_id):
+                best, best_d, best_id = q, dq, qid
+        if direct:
+            hops.append(Hop(hid, None, sid, d_sink))
+            return Route(tuple(hops))
+        if best is None:
+            return None
+        hops.append(Hop(hid, best_id, None, math.hypot(hx - best.x, hy - best.y)))
+        holder = best
+    return None
+
+
+def _bits(route):
+    """A route as plain values, each distance as its IEEE-754 bytes."""
+    if route is None:
+        return None
+    return [(h.src, h.dst_player, h.dst_sink, struct.pack("<d", h.dist))
+            for h in route.hops]
+
+
+def test_one_table_serves_every_origin_of_a_snapshot():
+    rng = random.Random(1313)
+    multi_hop = 0
+    for i in range(400):
+        field = (SIX, TWO)[i % 2]
+        grid = i % 4 < 2
+        coord = rng.randint if grid else rng.uniform
+        xy = [(coord(0, 106), coord(0, 68)) for _ in range(rng.randint(1, 14))]
+        if grid:
+            # integer points, and mirror twins across y = 34, tie for sink 1
+            # (both layouts) and sink 2 (goal sinks)
+            xy += [(x, 68 - y) for x, y in xy[:rng.randint(0, 8)]]
+        n = len(xy)
+        players = [player(j, x, y) for j, (x, y) in zip(rng.sample(range(n), n), xy)]
+        rng.shuffle(players)
+        table = NextHops(players, field)
+        for origin in rng.sample(players, n):
+            max_hops = rng.randint(1, 6)
+            got = wstm_route(origin, table, max_hops)
+            want = _per_call_wstm_route(origin, players, field, max_hops)
+            assert _bits(got) == _bits(want)
+            multi_hop += got is not None and got.n_hops > 1
+    assert multi_hop > 300
+
+
+def test_relay_ties_go_to_the_lower_id_in_any_list_order():
+    # 2 and 1 are equidistant from sink 1 at (0, 34), both nearer than the holder
+    for holder_id in (0, 5):
+        for ids in ((2, 1), (1, 2)):
+            holder = player(holder_id, 40, 34)
+            a, b = player(ids[0], 6, 28), player(ids[1], 6, 40)
+            for order in itertools.permutations([holder, a, b]):
+                r = wstm_route(holder, NextHops(list(order), TWO), max_hops=10)
+                assert r.hops[0].dst_player == 1 and r.n_hops == 2
+    # a holder tied with a teammate for nearest to the sink has no strictly
+    # nearer relay, whichever of the two has the lower id; the teammate
+    # beside it is nearer than the sink, so it cannot send direct either
+    for tied_id in (1, 7):
+        holder, tied, beside = player(3, 6, 28), player(tied_id, 6, 40), player(4, 12, 28)
+        for order in itertools.permutations([holder, tied, beside]):
+            assert wstm_route(holder, NextHops(list(order), TWO), max_hops=10) is None
+            assert _per_call_wstm_route(holder, order, TWO, 10) is None
 
 
 def make_ids():
