@@ -270,8 +270,7 @@ def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatc
     sim = MatchSim(small("wstm", initial_energy_j=energy_j))
     trigger, route = engine.trigger_transmissions, engine.wstm_route
     pending = []         # origins of this round's packets not yet routed
-    round_start_deaths = [0]
-    calls_after_a_death = 0
+    deaths_before_round = calls_after_a_death = 0
 
     def skip_dead_origins():
         # no send happens between a skipped packet's turn and this check
@@ -287,7 +286,7 @@ def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatc
         nonlocal calls_after_a_death
         skip_dead_origins()
         assert pending.pop(0) == player.player_id
-        calls_after_a_death += len(sim.metrics.deaths) > round_start_deaths[0]
+        calls_after_a_death += len(sim.metrics.deaths) > deaths_before_round
         want = _per_call_wstm_route(player, list(sim.alive), sim.field, max_hops)
         got = route(player, table, max_hops)
         assert _bits(got) == _bits(want)
@@ -296,7 +295,7 @@ def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatc
     monkeypatch.setattr(engine, "trigger_transmissions", triggered)
     monkeypatch.setattr(engine, "wstm_route", checked)
     for _ in range(sim.scenario.rounds):
-        round_start_deaths[0] = len(sim.metrics.deaths)
+        deaths_before_round = len(sim.metrics.deaths)
         sim.run_round()
         skip_dead_origins()
         assert pending == []
