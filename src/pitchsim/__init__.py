@@ -11,8 +11,8 @@ from .geometry import FieldConfig, Point, distance
 from .mobility import MobilityParams, PlayerKinematics, SpeedMode
 from .physiology import (FatigueCause, FatigueEvent, FatigueMonitor,
                          FatigueThresholds, LactateParams, step_lactate)
-from .protocol import (NextHops, Packet, Route, thefame_route,
-                       trigger_transmissions, wstm_route)
+from .protocol import (NextHops, Route, thefame_route, trigger_transmissions,
+                       wstm_route)
 from .report import throughput_pct
 from .scenario import (ParseError, Scenario, ScenarioError, ValidationError,
                        parse_scenario, parse_scenario_text)

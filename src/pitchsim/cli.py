@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 scenario validation error, 2 runtime error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .engine import World, run_match
 from .protocol import THEFAME, WSTM
 from .report import emit_comparison_reports, emit_run_reports
-from .scenario import Scenario, ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, ValidationError, max_delay_sum, parse_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,8 +107,10 @@ def _cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"pitchsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # both protocols' scenarios of every seed are validated before the
-    # first file is written
+    # both protocols' scenarios of every seed, and the delay sum pooled over
+    # the seeds, are validated before the first file is written
+    if not len(seeds) * max_delay_sum(scenario) < math.inf:
+        raise ValidationError(f"delays too large: {len(seeds)} seeds' pooled delay sum overflows")
     fame, wstm = scenario.with_protocol(THEFAME), scenario.with_protocol(WSTM)
     pairs = [(seed, fame.with_seed(seed), wstm.with_seed(seed)) for seed in seeds]
     out_dir = args.out or _default_out()

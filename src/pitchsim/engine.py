@@ -6,12 +6,12 @@ and player movement, lactate update, fatigue check, packet triggering,
 routing, per-hop channel trials with energy debits, metrics recording.
 
 Accounting is two-level. Hop level: every hop attempt is one send and
-ends as either a hop delivery or a drop. Packet level: every triggered
-packet ends in exactly one of delivered (reached a sink), dropped (a
-hop lost it), or routing-failed (no route, which includes an origin
-that died earlier in the round, or a relay drained by its own receive,
-which cannot forward). ``MetricsLog.totals`` is the one way to total a
-run: one walk over its rounds, in order, sums every counter.
+ends as either a hop delivery or a drop. Packet level: the trigger
+returns origins, numbered in that order, and ``MatchSim._send`` alone
+decides each packet's fate: delivered (reached a sink), dropped (a hop
+lost it), or routing-failed (an origin dead earlier in the round, no
+route, or a relay drained by its own receive). ``MetricsLog.totals`` is
+the one way to total a run: one walk over its rounds sums every counter.
 
 A round is two passes. The world pass (``World.advance``) moves every
 player, steps their lactate and checks every fatigue monitor. It draws
@@ -67,8 +67,8 @@ from .mobility import (SPRINT, GroupReference, MobilityParams, PlayerKinematics,
                        make_players, schedule_mode, step_group_reference,
                        step_player)
 from .physiology import FatigueEvent, FatigueMonitor, step_lactate
-from .protocol import (THEFAME, NextHops, Packet, Route, thefame_route,
-                       trigger_transmissions, wstm_route)
+from .protocol import (THEFAME, NextHops, thefame_route, trigger_transmissions,
+                       wstm_route)
 from .scenario import Scenario
 from .seeding import stream
 
@@ -172,9 +172,7 @@ class World:
     def __init__(self, scenario: Scenario, record_trajectory: bool = False,
                  record_lactate: bool = False):
         self.scenario = scenario
-        self.field = scenario.build_field()
-        self.mobility = scenario.mobility
-        self.lactate_params = scenario.lactate
+        self.field = FieldConfig(scenario.field_length, scenario.field_width)
         self.mob_rng = stream(scenario.seed, "mobility")
         self.sched_rng = stream(scenario.seed, "scheduling")
         self.group = GroupReference.centered(self.field)
@@ -202,9 +200,9 @@ class World:
         self.round += 1
         t = self.round
         kins = self.kins
-        move_players(self.group, kins, self.field, self.mobility, self.mob_rng,
+        move_players(self.group, kins, self.field, self.scenario.mobility, self.mob_rng,
                      self.sched_rng)
-        lactate, monitors, params = self.lactate, self.monitors, self.lactate_params
+        lactate, monitors, params = self.lactate, self.monitors, self.scenario.lactate
         events: list[FatigueEvent] = []
         for i, kin in enumerate(kins):
             level = lactate[i] = step_lactate(lactate[i], kin.speed_kmh, params)
@@ -282,65 +280,55 @@ class MatchSim:
             events = [ev for ev in events if not batteries[ev.player_id].dead]
             self.events.extend(events)
 
-        packets = trigger_transmissions(self.scenario.protocol,
+        origins = trigger_transmissions(self.scenario.protocol,
                                         self.scenario.wstm_period_s, t, events,
-                                        self.alive, self._ids)
-        rec.triggered = len(packets)
-        if packets:
+                                        self.alive)
+        rec.triggered = len(origins)
+        if origins:
             snapshot = kept[1]
             for kin, x, y in zip(self.kins, snapshot[::2], snapshot[1::2]):
                 kin.x = x
                 kin.y = y
             self._hops = None
-        for packet in packets:
-            route = self._route(packet)
-            if route is None:
-                rec.routing_failures += 1
-                continue
-            self._send(packet, route, rec)
+        for origin in origins:
+            self._send(next(self._ids), origin, rec)
 
         rec.alive = self.alive_count()
         rec.residual_j = self.residual_total()
         self.metrics.rounds.append(rec)
         return rec
 
-    def _route(self, packet: Packet) -> Route | None:
-        if self.batteries[packet.origin].dead:
-            # node died relaying earlier traffic this round
-            return None
-        origin = self.kins[packet.origin]
-        if self.scenario.protocol == THEFAME:
-            return thefame_route(origin, self.field)
-        if self._hops is None:
-            self._hops = NextHops(self.alive, self.field)
-        return wstm_route(origin, self._hops, self.scenario.max_hops)
-
-    def _send(self, packet: Packet, route: Route, rec: RoundRecord) -> None:
-        batteries = self.batteries
-        bits = self.radio.packet_bits
-        for i, hop in enumerate(route.hops):
-            if batteries[hop.src].dead:
-                break
-            self._debit(hop.src, direct_tx_energy(self.radio, bits, hop.dist), rec.round)
-            rec.hop_sends += 1
-            if i == 0:
-                rec.origin_sends += 1
-            if not transmit_hop(self.channel, self.chan_rng):
-                rec.hop_drops += 1
-                return
-            if hop.dst_player is None:
-                delay = propagation_delay(self.channel, route, bits)
-                self.feed.append(Delivery(
-                    time=rec.round + delay, packet_id=packet.packet_id,
-                    sink_id=hop.dst_sink, origin=packet.origin,
-                    round=rec.round, delay=delay))
-                rec.received += 1
-                rec.delay_sum += delay
-                return
-            # alive: routed over self.alive, and sink distance strictly falls per hop
-            self._debit(hop.dst_player, relay_rx_energy(self.radio, bits), rec.round)
-            # a relay drained to zero by the receive cannot forward; the
-            # dead-sender check above ends the route next hop
+    def _send(self, packet_id: int, origin: int, rec: RoundRecord) -> None:
+        if self.batteries[origin].dead:   # died relaying earlier traffic this round
+            route = None
+        elif self.scenario.protocol == THEFAME:
+            route = thefame_route(self.kins[origin], self.field)
+        else:
+            if self._hops is None:
+                self._hops = NextHops(self.alive, self.field)
+            route = wstm_route(self.kins[origin], self._hops, self.scenario.max_hops)
+        if route is not None:
+            bits = self.radio.packet_bits
+            rec.origin_sends += 1
+            for hop in route.hops:
+                self._debit(hop.src, direct_tx_energy(self.radio, bits, hop.dist), rec.round)
+                rec.hop_sends += 1
+                if not transmit_hop(self.channel, self.chan_rng):
+                    rec.hop_drops += 1
+                    return
+                if hop.dst_player is None:
+                    delay = propagation_delay(self.channel, route, bits)
+                    self.feed.append(Delivery(
+                        time=rec.round + delay, packet_id=packet_id,
+                        sink_id=hop.dst_sink, origin=origin,
+                        round=rec.round, delay=delay))
+                    rec.received += 1
+                    rec.delay_sum += delay
+                    return
+                # alive: routed over self.alive, and sink distance strictly falls per hop
+                self._debit(hop.dst_player, relay_rx_energy(self.radio, bits), rec.round)
+                if self.batteries[hop.dst_player].dead:
+                    break   # drained by the receive: it cannot forward
         rec.routing_failures += 1
 
     def _debit(self, player_id: int, amount: float, t: int) -> None:

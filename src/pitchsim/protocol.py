@@ -15,13 +15,14 @@ own is ``nearest_sink_xy``'s, so it never relays to itself.
 
 The protocol name (``Scenario.protocol``) is the whole protocol
 identity: it fixes the trigger, the sink preset and the routing rule.
+A trigger returns only packet origins; the engine numbers the packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import hypot
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import FieldConfig, nearest_sink_xy
 from .mobility import PlayerKinematics
@@ -29,13 +30,6 @@ from .physiology import FatigueEvent
 
 THEFAME = "thefame"
 WSTM = "wstm"
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One triggered packet; the round that sends it is its creation time."""
-    packet_id: int
-    origin: int
 
 
 @dataclass(frozen=True)
@@ -117,12 +111,12 @@ def wstm_route(player: PlayerKinematics, table: NextHops,
 
 def trigger_transmissions(protocol: str, period_s: int, t: int,
                           fatigue_events: Iterable[FatigueEvent],
-                          alive_players: Sequence[PlayerKinematics],
-                          ids: Iterator[int]) -> list[Packet]:
-    """Packets originated this round: one per fatigue event under thefame,
-    one per alive player every ``period_s`` rounds under wstm."""
+                          alive_players: Sequence[PlayerKinematics]) -> list[int]:
+    """Origins of the packets triggered this round, in sending order: one
+    per fatigue event under thefame, one per alive player every
+    ``period_s`` rounds under wstm."""
     if protocol == THEFAME:
-        return [Packet(next(ids), ev.player_id) for ev in fatigue_events]
+        return [ev.player_id for ev in fatigue_events]
     if t % period_s != 0:
         return []
-    return [Packet(next(ids), k.player_id) for k in alive_players]
+    return [k.player_id for k in alive_players]

@@ -15,7 +15,7 @@ from .channel import SPEED_OF_LIGHT_YDS, ChannelParams
 from .energy import RadioModel
 from .geometry import FieldConfig
 from .mobility import MAX_PLAYERS, MobilityParams
-from .physiology import FatigueThresholds, LactateParams
+from .physiology import MGDL_PER_MMOL_L, FatigueThresholds, LactateParams
 from .protocol import THEFAME, WSTM
 
 CORRECTED = "corrected"
@@ -78,16 +78,13 @@ class Scenario:
         if type(self.wstm_period_s) is not int or self.wstm_period_s <= 0:
             raise ValidationError("wstm.period_s must be positive")
         # no report may hold inf: bound a run's delay sum and lactate levels
-        ch, lac = self.channel, self.lactate
+        lac = self.lactate
         try:
-            delay = self.rounds * self.players * self.max_hops * (
-                self.radio.packet_bits / ch.data_rate_bps + ch.per_hop_processing_s
-                + math.hypot(self.field_length, self.field_width) / SPEED_OF_LIGHT_YDS)
-            level = 9 * (max(lac.l_base, 0.0) + self.rounds * lac.alpha
-                         * max(0.0, self.mobility.v_sprint - lac.v_aerobic))
+            level = MGDL_PER_MMOL_L * (max(lac.l_base, 0.0) + self.rounds * lac.alpha
+                                       * max(0.0, self.mobility.v_sprint - lac.v_aerobic))
         except OverflowError:
-            delay = level = math.inf
-        if not delay < math.inf:
+            level = math.inf
+        if not max_delay_sum(self) < math.inf:
             raise ValidationError("delays too large: a run's delay sum overflows")
         if not level < math.inf:
             raise ValidationError("lactate too large: a reported level overflows")
@@ -103,6 +100,16 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
+
+
+def max_delay_sum(s: Scenario) -> float:
+    """Worst case of a run's delay sum: per player and round, max_hops hops of a diagonal."""
+    try:
+        return s.rounds * s.players * s.max_hops * (
+            s.radio.packet_bits / s.channel.data_rate_bps + s.channel.per_hop_processing_s
+            + math.hypot(s.field_length, s.field_width) / SPEED_OF_LIGHT_YDS)
+    except OverflowError:
+        return math.inf
 
 
 def finite_float(text: str) -> float:

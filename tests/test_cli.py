@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -188,6 +189,34 @@ def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
     assert not out.exists()
+
+
+# one run's worst-case delay sum is finite, so the file validates; the
+# worst cases of two runs together overflow
+POOLED_DELAY = ("per_hop_processing = 2.7e303\nprotocol = wstm\ndrop_probability = 0\n"
+                "rounds = 300\nenergy.initial_j = 1000\n")
+
+
+@pytest.mark.parametrize("seeds", ["0..199", "0..1"])
+def test_compare_refuses_seeds_whose_pooled_delay_sum_overflows(tmp_path, capsys, seeds):
+    path = write(tmp_path, POOLED_DELAY)
+    assert main(["validate", "--scenario", path]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", path, "--seeds", seeds,
+                 "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
+    assert not out.exists()
+
+
+def test_compare_one_seed_of_a_huge_delay_file_writes_finite_delays(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", write(tmp_path, POOLED_DELAY), "--seeds", "3",
+                 "--out", str(out)]) == EXIT_OK
+    rows = (out / "summary.csv").read_text().splitlines()
+    wstm = dict(zip(rows[0].split(","), rows[2].split(",")))
+    assert wstm["protocol"] == "wstm" and 1e303 < float(wstm["mean_delay_s"]) < math.inf
 
 
 @pytest.mark.parametrize("preset", ["default.cfg", "high-rate.cfg", "wstm.cfg"])

@@ -85,8 +85,8 @@ def test_single_event_debits_exactly_one_battery_by_direct_tx_amount():
 
 
 def test_packet_conservation_both_protocols():
-    # at 0.002 J a relay's receive can kill it, so a later hop of the
-    # same packet finds its sender dead
+    # at 0.002 J a relay's receive can kill it, which ends the packet's
+    # route at that relay
     for scenario in (stress(rounds=600), small("wstm", rounds=600),
                      small("wstm", rounds=300, initial_energy_j=0.002)):
         m = run_match(scenario).metrics
@@ -220,6 +220,28 @@ def test_feed_is_time_ordered_in_real_runs():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("scenario", [small("wstm", initial_energy_j=0.002), stress()],
+                         ids=["wstm-0.002j", "thefame-stress"])
+def test_packet_ids_number_every_triggered_packet(scenario):
+    # wstm at 0.002 J fails packets of dead origins, of drained relays and
+    # of greedy dead ends; each one still takes its number, so a delivered
+    # id lies among the ids triggered in the delivery's own round
+    result = run_match(scenario)
+    rounds = result.metrics.rounds
+    before = [0]         # before[t - 1]: packets triggered before round t
+    for rec in rounds:
+        before.append(before[-1] + rec.triggered)
+    ids = [x.packet_id for x in result.feed]
+    assert ids and len(set(ids)) == len(ids)
+    for x in result.feed:
+        assert before[x.round - 1] < x.packet_id <= before[x.round]
+    if scenario.protocol == "wstm":
+        # failures precede some delivery, so numbering only routed packets
+        # would shift that delivery's id below its round's range
+        first_failure = next(r.round for r in rounds if r.routing_failures)
+        assert any(x.round > first_failure for x in result.feed)
+
+
 def test_simulate_mobility_ends_where_the_match_does():
     scenario = small("wstm", rounds=300, initial_energy_j=1000.0)
     sim = MatchSim(scenario, World(scenario, record_trajectory=True))
@@ -278,9 +300,9 @@ def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatc
             pending.pop(0)
 
     def triggered(*args):
-        packets = trigger(*args)
-        pending[:] = [p.origin for p in packets]
-        return packets
+        origins = trigger(*args)
+        pending[:] = origins
+        return origins
 
     def checked(player, table, max_hops):
         nonlocal calls_after_a_death
@@ -378,7 +400,13 @@ def test_world_refuses_a_scenario_it_does_not_serve(change):
 
 
 def test_world_serves_the_other_protocol():
-    # a wstm world has goal sinks; the thefame match must route to its own six
+    # a world holds only the pitch, no sinks: one built from the wstm
+    # scenario plays the rounds of one built from the thefame scenario, and
+    # the thefame match on it routes to the six sinks of its own scenario
     base = small(rounds=50)
     world = World(base.with_protocol("wstm"))
-    assert run_match(base, world=world).metrics.rounds == run_match(base).metrics.rounds
+    own = World(base)
+    assert (run_match(base, world=world).metrics.rounds
+            == run_match(base, world=own).metrics.rounds)
+    assert world.round == own.round == 50
+    assert world.history == own.history

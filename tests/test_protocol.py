@@ -315,36 +315,29 @@ def test_relay_ties_go_to_the_lower_id_in_any_list_order():
             assert _per_call_wstm_route(holder, order, TWO, 10) is None
 
 
-def make_ids():
-    return itertools.count(1)
-
-
 def test_threshold_trigger_no_events_no_packets():
-    assert trigger_transmissions(THEFAME, 10, 50, [], [player(0, 1, 1)],
-                                 make_ids()) == []
+    assert trigger_transmissions(THEFAME, 10, 50, [], [player(0, 1, 1)]) == []
 
 
 def test_threshold_trigger_one_packet_per_event():
     events = [FatigueEvent(0, 50.0, FatigueCause.LACTATE, 2.3),
               FatigueEvent(4, 50.0, FatigueCause.DISTANCE, 11.0)]
-    pkts = trigger_transmissions(THEFAME, 10, 50, events, [], make_ids())
-    assert [p.origin for p in pkts] == [0, 4]
-    assert len({p.packet_id for p in pkts}) == 2
+    assert trigger_transmissions(THEFAME, 10, 50, events, []) == [0, 4]
 
 
 def test_periodic_trigger_on_period():
     alive = [player(i, i, i) for i in range(22)]
-    pkts = trigger_transmissions(WSTM, 10, 30, [], alive, make_ids())
-    assert len(pkts) == 22
-    assert sorted(p.origin for p in pkts) == list(range(22))
+    origins = trigger_transmissions(WSTM, 10, 30, [], alive)
+    assert len(origins) == 22
+    assert sorted(origins) == list(range(22))
 
 
 def test_periodic_trigger_off_period():
     alive = [player(i, i, i) for i in range(22)]
-    assert trigger_transmissions(WSTM, 10, 31, [], alive, make_ids()) == []
+    assert trigger_transmissions(WSTM, 10, 31, [], alive) == []
 
 
 def test_periodic_trigger_counts_only_alive():
     alive = [player(i, i, i) for i in range(5)]
-    pkts = trigger_transmissions(WSTM, 10, 10, [], alive, make_ids())
-    assert len(pkts) == 5
+    origins = trigger_transmissions(WSTM, 10, 10, [], alive)
+    assert len(origins) == 5
