@@ -230,8 +230,6 @@ class MatchSim:
         self.scenario = scenario
         self.world = world
         self.field = scenario.build_field()
-        self.radio = scenario.radio
-        self.channel = scenario.channel
         self.chan_rng = stream(scenario.seed, "channel")
         # indexed by player id; routes read these kinematics, loaded from the
         # world's snapshots (the world's own may be rounds ahead)
@@ -308,16 +306,17 @@ class MatchSim:
                 self._hops = NextHops(self.alive, self.field)
             route = wstm_route(self.kins[origin], self._hops, self.scenario.max_hops)
         if route is not None:
-            bits = self.radio.packet_bits
+            radio, channel = self.scenario.radio, self.scenario.channel
+            bits = radio.packet_bits
             rec.origin_sends += 1
             for hop in route.hops:
-                self._debit(hop.src, direct_tx_energy(self.radio, bits, hop.dist), rec.round)
+                self._debit(hop.src, direct_tx_energy(radio, bits, hop.dist), rec.round)
                 rec.hop_sends += 1
-                if not transmit_hop(self.channel, self.chan_rng):
+                if not transmit_hop(channel, self.chan_rng):
                     rec.hop_drops += 1
                     return
                 if hop.dst_player is None:
-                    delay = propagation_delay(self.channel, route, bits)
+                    delay = propagation_delay(channel, route, bits)
                     self.feed.append(Delivery(
                         time=rec.round + delay, packet_id=packet_id,
                         sink_id=hop.dst_sink, origin=origin,
@@ -326,7 +325,7 @@ class MatchSim:
                     rec.delay_sum += delay
                     return
                 # alive: routed over self.alive, and sink distance strictly falls per hop
-                self._debit(hop.dst_player, relay_rx_energy(self.radio, bits), rec.round)
+                self._debit(hop.dst_player, relay_rx_energy(radio, bits), rec.round)
                 if self.batteries[hop.dst_player].dead:
                     break   # drained by the receive: it cannot forward
         rec.routing_failures += 1

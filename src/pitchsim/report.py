@@ -195,13 +195,13 @@ def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]
     summary and the per-seed pairs from those totals."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    kept = {"thefame": [], "wstm": []}   # protocol -> [(seed, RunTotals)]
+    kept: dict[str, list] = {}   # protocol -> [(seed, RunTotals)], in arrival order
     for seed, *results in pairs:
         for result in results:
             protocol = result.scenario.protocol
             sub = os.path.join(out_dir, f"{protocol}-seed{seed:03d}")
             paths.extend(emit_run_reports(result, sub))
-            kept[protocol].append((seed, result.metrics.totals()))
+            kept.setdefault(protocol, []).append((seed, result.metrics.totals()))
         # resuming ``pairs`` runs the next pair: hold nothing of this one
         del results, result
     paths.append(write_summary(

@@ -4,19 +4,22 @@ The file format is deliberately plain text, one ``key = value`` per
 line, ``#`` comments, dotted section prefixes (``mobility.v_walk``).
 Omitted keys take documented defaults; unknown or duplicate keys are
 rejected. An empty file is the default scenario.
+
+A valid scenario's reports hold no inf: ``check_report_bounds`` runs the
+model's own code on a worst case, for one run or a compare's pooled runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .channel import SPEED_OF_LIGHT_YDS, ChannelParams
+from .channel import ChannelParams, propagation_delay
 from .energy import RadioModel
 from .geometry import FieldConfig
 from .mobility import MAX_PLAYERS, MobilityParams
 from .physiology import MGDL_PER_MMOL_L, FatigueThresholds, LactateParams
-from .protocol import THEFAME, WSTM
+from .protocol import THEFAME, WSTM, Hop, Route
 
 CORRECTED = "corrected"
 EXTENDED = "extended"
@@ -63,11 +66,6 @@ class Scenario:
             raise ValidationError(f"players must be in [1, {MAX_PLAYERS}]")
         if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
             raise ValidationError("field dimensions must be in (0, inf)")
-        # FieldConfig's sink presets compute 51 * length (thefame) and
-        # 106 * width (extended apron) before dividing; compare runs both
-        # protocols, so every preset must stay finite
-        if not (51.0 * self.field_length < math.inf and 106.0 * self.field_width < math.inf):
-            raise ValidationError("field dimensions too large: a sink position overflows")
         if self.sink_placement not in (CORRECTED, EXTENDED):
             raise ValidationError(
                 f"field.sink_placement must be corrected or extended, got {self.sink_placement!r}")
@@ -77,17 +75,7 @@ class Scenario:
             raise ValidationError("wstm.max_hops must be at least 1")
         if type(self.wstm_period_s) is not int or self.wstm_period_s <= 0:
             raise ValidationError("wstm.period_s must be positive")
-        # no report may hold inf: bound a run's delay sum and lactate levels
-        lac = self.lactate
-        try:
-            level = MGDL_PER_MMOL_L * (max(lac.l_base, 0.0) + self.rounds * lac.alpha
-                                       * max(0.0, self.mobility.v_sprint - lac.v_aerobic))
-        except OverflowError:
-            level = math.inf
-        if not max_delay_sum(self) < math.inf:
-            raise ValidationError("delays too large: a run's delay sum overflows")
-        if not level < math.inf:
-            raise ValidationError("lactate too large: a reported level overflows")
+        check_report_bounds(self)
 
     def build_field(self) -> FieldConfig:
         if self.protocol == WSTM:
@@ -102,14 +90,34 @@ class Scenario:
         return replace(self, seed=seed)
 
 
-def max_delay_sum(s: Scenario) -> float:
-    """Worst case of a run's delay sum: per player and round, max_hops hops of a diagonal."""
+def check_report_bounds(s: Scenario, runs: int = 1) -> None:
+    """Raise ValidationError if ``runs`` runs of ``s`` could report inf, sums
+    pooled left to right as ``report.summarize`` pools them. Each bound runs
+    the model's code on a worst case: the furthest sinks, ``max_hops``
+    diagonal hops per player and round, ``players`` full batteries added as
+    ``MatchSim.residual_total`` adds them, and lactate at top speed."""
     try:
-        return s.rounds * s.players * s.max_hops * (
-            s.radio.packet_bits / s.channel.data_rate_bps + s.channel.per_hop_processing_s
-            + math.hypot(s.field_length, s.field_width) / SPEED_OF_LIGHT_YDS)
-    except OverflowError:
-        return math.inf
+        FieldConfig.six_sinks(s.field_length, s.field_width, extended=True)
+    except ValueError:
+        raise ValidationError("field dimensions too large: a sink position overflows") from None
+    diagonal = Route((Hop(0, None, 1, math.hypot(s.field_length, s.field_width)),))
+    lac = s.lactate
+    try:
+        delay = s.rounds * s.players * s.max_hops * propagation_delay(
+            s.channel, diagonal, s.radio.packet_bits)
+        level = MGDL_PER_MMOL_L * (max(lac.l_base, 0.0) + s.rounds * lac.alpha
+                                   * max(0.0, s.mobility.v_sprint - lac.v_aerobic))
+    except OverflowError:   # an int setting too large for a float
+        delay = level = math.inf
+    residual = delays = energy = 0.0   # one run's residual; the runs' pooled sums
+    for _ in range(s.players):
+        residual += s.initial_energy_j
+    for _ in range(runs):
+        delays += delay
+        energy += residual
+    for what, value in (("delays", delays), ("energy.initial_j", energy), ("lactate", level)):
+        if not value < math.inf:
+            raise ValidationError(f"{what} too large: a report of {runs} run(s) overflows")
 
 
 def finite_float(text: str) -> float:
@@ -162,13 +170,9 @@ _KEYS = {
     "wstm.period_s": (None, "wstm_period_s", int),
 }
 
-_SECTION_TYPES = {
-    "mobility": MobilityParams,
-    "lactate": LactateParams,
-    "thresholds": FatigueThresholds,
-    "radio": RadioModel,
-    "channel": ChannelParams,
-}
+# section name -> its dataclass, in field order
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(Scenario)
+                  if f.default_factory is not MISSING}
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
@@ -207,8 +211,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             if sections[name]:
                 top[name] = cls(**sections[name])
         return Scenario(**top)
-    except ValidationError:
-        raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 

@@ -1,9 +1,13 @@
+import csv
 import math
 import os
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitchsim import cli
 from pitchsim.cli import (EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
@@ -173,10 +177,13 @@ def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
     b"field.length = 1e308\n",                   # a thefame sink at x = inf
     b"field.length = 1e308\nprotocol = wstm\n",  # and in compare's thefame twin
     b"# caf\xe9 (latin-1)\n",
-    # finite keys whose run would write inf: a delay sum, a lactate level
+    # finite keys whose run would write inf: a delay sum, a lactate level,
+    # 22 full batteries added up in round 1's residual_total_J
     b"per_hop_processing = 1e308\nprotocol = wstm\ndrop_probability = 0\n",
     b"lactate.alpha = 1e308\n",
-], ids=["huge-field", "huge-field-wstm", "not-utf8", "huge-delay", "huge-lactate"])
+    b"energy.initial_j = 1e307\n",
+], ids=["huge-field", "huge-field-wstm", "not-utf8", "huge-delay", "huge-lactate",
+        "huge-battery"])
 def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
                                                          command, text):
     path = tmp_path / "scenario.cfg"
@@ -217,6 +224,71 @@ def test_compare_one_seed_of_a_huge_delay_file_writes_finite_delays(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     wstm = dict(zip(rows[0].split(","), rows[2].split(",")))
     assert wstm["protocol"] == "wstm" and 1e303 < float(wstm["mean_delay_s"]) < math.inf
+
+
+# 11 * x is float max, but summary.csv adds 11 runs' final residuals left
+# to right, and that sum overflows; 10 runs' sum is finite
+POOLED_RESIDUAL = "players = 1\nenergy.initial_j = 1.6342664862384688e+307\nrounds = 5\n"
+
+
+def test_compare_refuses_seeds_whose_pooled_residual_overflows(tmp_path, capsys):
+    path = write(tmp_path, POOLED_RESIDUAL)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", path, "--seeds", "0..10",
+                 "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: energy.initial_j")
+    assert not out.exists()
+    assert main(["compare", "--scenario", path, "--seeds", "0..9",
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["protocol"] for r in rows] == ["thefame", "wstm", "delta"]
+    assert all(abs(float(r["final_residual_J"])) < math.inf for r in rows)
+    assert float(rows[0]["final_residual_J"]) > 1e307
+
+
+# extreme finite values for the keys the report bounds read
+EXTREMES = [1e308, -1e308, sys.float_info.max, 1.6342664862384688e+307, 1e307, 2.7e303,
+            1e300, 1.0, 5e-324, 0.0, -0.0]
+BOUND_KEYS = ["field.length", "field.width", "energy.initial_j", "per_hop_processing",
+              "data_rate", "lactate.base", "lactate.alpha", "lactate.v_aerobic",
+              "mobility.v_sprint"]
+INT_KEYS = {"players": st.integers(1, 22), "wstm.max_hops": st.sampled_from([1, 10, 10**300]),
+            "radio.packet_bits": st.sampled_from([1, 1024, 10**300, 10**400])}
+NOT_A_NUMBER = {"inf", "-inf", "nan"}
+
+
+def test_compare_on_extreme_finite_values_exits_invalid_or_writes_only_numbers(tmp_path,
+                                                                                capsys):
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(floats=st.fixed_dictionaries({}, optional={
+               k: st.sampled_from(EXTREMES) for k in BOUND_KEYS}),
+           ints=st.fixed_dictionaries({}, optional=INT_KEYS),
+           rounds=st.integers(1, 30), seeds=st.integers(1, 11))
+    def check(floats, ints, rounds, seeds):
+        settings_ = {**floats, **ints, "rounds": rounds, "drop_probability": 0.0}
+        with tempfile.TemporaryDirectory(dir=tmp_path) as case:
+            path = write(Path(case), "".join(f"{k} = {v!r}\n" for k, v in settings_.items()))
+            out = Path(case) / "out"
+            code = main(["compare", "--scenario", path, "--seeds", f"0..{seeds - 1}",
+                         "--out", str(out)])
+            err = capsys.readouterr().err.splitlines()
+            outcomes.add(code)
+            if code == EXIT_INVALID:
+                assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
+                assert not out.exists()
+                return
+            assert code == EXIT_OK, err
+            for report in out.rglob("*.csv"):
+                with open(report, newline="") as fh:
+                    bad = NOT_A_NUMBER.intersection(cell for row in csv.reader(fh) for cell in row)
+                assert not bad, (report.relative_to(out), bad, settings_)
+
+    check()
+    assert outcomes == {EXIT_OK, EXIT_INVALID}
 
 
 @pytest.mark.parametrize("preset", ["default.cfg", "high-rate.cfg", "wstm.cfg"])

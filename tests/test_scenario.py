@@ -1,6 +1,7 @@
+import struct
 import sys
 from dataclasses import fields
-from math import inf, isfinite, nan, nextafter
+from math import inf, isfinite, nan
 
 import pytest
 
@@ -116,22 +117,40 @@ def test_non_finite_float_rejected(line, tmp_path, capsys):
     assert len(stderr) == 1 and f"{path}:2" in stderr[0] and key in stderr[0]
 
 
-@pytest.mark.parametrize("name,factor", [("field_length", 51.0), ("field_width", 106.0)])
-def test_field_is_valid_exactly_when_every_sink_layout_is_finite(name, factor):
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@pytest.mark.parametrize("name", ["field_length", "field_width"])
+def test_field_is_valid_exactly_when_every_sink_layout_is_finite(name):
     # a finite dimension can still put a sink at inf; a scenario is valid for
     # every protocol and placement or for none, since compare runs its twin
-    largest = sys.float_info.max / factor      # within a few ulps of the edge
-    while factor * nextafter(largest, inf) < inf:
-        largest = nextafter(largest, inf)
-    while factor * largest == inf:
-        largest = nextafter(largest, 0.0)
-    for protocol in ("thefame", "wstm"):
-        for placement in ("corrected", "extended"):
-            kwargs = {"protocol": protocol, "sink_placement": placement}
-            field = Scenario(**kwargs, **{name: largest}).build_field()
-            assert all(isfinite(pos.x) and isfinite(pos.y) for _, pos in field.sinks)
-            with pytest.raises(ValidationError, match="too large"):
-                Scenario(**kwargs, **{name: nextafter(largest, inf)})
+    def builds(value):
+        length, width = {"field_length": 106.0, "field_width": 68.0, name: value}.values()
+        try:
+            FieldConfig.goal_sinks(length, width)
+            FieldConfig.six_sinks(length, width)
+            FieldConfig.six_sinks(length, width, extended=True)
+        except ValueError:
+            return False
+        return True
+
+    # positive floats order like their bit patterns: bisect those for the edge
+    lo, hi = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (1.0, sys.float_info.max))
+    assert builds(float_of_bits(lo)) and not builds(float_of_bits(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if builds(float_of_bits(mid)) else (lo, mid)
+    for value in map(float_of_bits, range(lo - 3, hi + 3)):   # 4 ulps each side
+        for protocol in ("thefame", "wstm"):
+            for placement in ("corrected", "extended"):
+                kwargs = {"protocol": protocol, "sink_placement": placement, name: value}
+                if builds(value):
+                    field = Scenario(**kwargs).build_field()
+                    assert all(isfinite(pos.x) and isfinite(pos.y) for _, pos in field.sinks)
+                else:
+                    with pytest.raises(ValidationError, match="too large"):
+                        Scenario(**kwargs)
 
 
 NON_FINITE_PROBES = [
