@@ -269,9 +269,10 @@ def test_compare_on_extreme_finite_values_exits_invalid_or_writes_only_numbers(t
            ints=st.fixed_dictionaries({}, optional=INT_KEYS),
            rounds=st.integers(1, 30), seeds=st.integers(1, 11))
     def check(floats, ints, rounds, seeds):
-        settings_ = {**floats, **ints, "rounds": rounds, "drop_probability": 0.0}
+        # no drops: every routed packet adds its delay to the reported sums
+        keys = {**floats, **ints, "rounds": rounds, "drop_probability": 0.0}
         with tempfile.TemporaryDirectory(dir=tmp_path) as case:
-            path = write(Path(case), "".join(f"{k} = {v!r}\n" for k, v in settings_.items()))
+            path = write(Path(case), "".join(f"{k} = {v!r}\n" for k, v in keys.items()))
             out = Path(case) / "out"
             code = main(["compare", "--scenario", path, "--seeds", f"0..{seeds - 1}",
                          "--out", str(out)])
@@ -285,7 +286,7 @@ def test_compare_on_extreme_finite_values_exits_invalid_or_writes_only_numbers(t
             for report in out.rglob("*.csv"):
                 with open(report, newline="") as fh:
                     bad = NOT_A_NUMBER.intersection(cell for row in csv.reader(fh) for cell in row)
-                assert not bad, (report.relative_to(out), bad, settings_)
+                assert not bad, (report.relative_to(out), bad, keys)
 
     check()
     assert outcomes == {EXIT_OK, EXIT_INVALID}
