@@ -116,9 +116,9 @@ class Battery:
         """
         if amount < 0:
             raise NegativeInputError(f"amount={amount}")
-        if self.dead:
+        remaining = self.initial - self.consumed   # residual, read once
+        if remaining <= 0.0:
             return 0.0
-        remaining = self.residual
         if amount >= remaining:
             self.consumed = self.initial
             return remaining

@@ -12,6 +12,9 @@ decides each packet's fate: delivered (reached a sink), dropped (a hop
 lost it), or routing-failed (an origin dead earlier in the round, no
 route, or a relay drained by its own receive). ``MetricsLog.totals`` is
 the one way to total a run: one walk over its rounds sums every counter.
+A relay's receive cost depends only on the scenario, so ``MatchSim``
+computes it once per match. ``MatchSim._debit`` reports the death it
+causes, and ``_send`` stops a packet at a relay that its receive killed.
 
 A round is two passes. The world pass (``World.advance``) moves every
 player, steps their lactate and checks every fatigue monitor. It draws
@@ -57,7 +60,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import propagation_delay, transmit_hop
@@ -103,8 +106,7 @@ class RunTotals(NamedTuple):
     final_residual_j: float
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """One packet landing at a sink."""
     time: float          # sending round + end-to-end delay
     packet_id: int
@@ -191,7 +193,9 @@ class World:
     def check_serves(self, scenario: Scenario) -> None:
         """Raise ValueError unless ``scenario`` equals this world's own up
         to ``protocol``."""
-        if replace(scenario, protocol=self.scenario.protocol) != self.scenario:
+        own = self.scenario
+        if any(getattr(scenario, f.name) != getattr(own, f.name)
+               for f in fields(Scenario) if f.name != "protocol"):
             raise ValueError("a world serves only scenarios that equal its own "
                              "up to protocol")
 
@@ -231,6 +235,8 @@ class MatchSim:
         self.world = world
         self.field = scenario.build_field()
         self.chan_rng = stream(scenario.seed, "channel")
+        self.packet_bits = scenario.radio.packet_bits
+        self.relay_rx_j = relay_rx_energy(scenario.radio, self.packet_bits)
         # indexed by player id; routes read these kinematics, loaded from the
         # world's snapshots (the world's own may be rounds ahead)
         self.kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
@@ -306,33 +312,32 @@ class MatchSim:
                 self._hops = NextHops(self.alive, self.field)
             route = wstm_route(self.kins[origin], self._hops, self.scenario.max_hops)
         if route is not None:
-            radio, channel = self.scenario.radio, self.scenario.channel
-            bits = radio.packet_bits
+            radio, channel, chan_rng = self.scenario.radio, self.scenario.channel, self.chan_rng
+            bits, t = self.packet_bits, rec.round
             rec.origin_sends += 1
             for hop in route.hops:
-                self._debit(hop.src, direct_tx_energy(radio, bits, hop.dist), rec.round)
+                self._debit(hop.src, direct_tx_energy(radio, bits, hop.dist), t)
                 rec.hop_sends += 1
-                if not transmit_hop(channel, self.chan_rng):
+                if not transmit_hop(channel, chan_rng):
                     rec.hop_drops += 1
                     return
                 if hop.dst_player is None:
                     delay = propagation_delay(channel, route, bits)
                     self.feed.append(Delivery(
-                        time=rec.round + delay, packet_id=packet_id,
-                        sink_id=hop.dst_sink, origin=origin,
-                        round=rec.round, delay=delay))
+                        time=t + delay, packet_id=packet_id, sink_id=hop.dst_sink,
+                        origin=origin, round=t, delay=delay))
                     rec.received += 1
                     rec.delay_sum += delay
                     return
                 # alive: routed over self.alive, and sink distance strictly falls per hop
-                self._debit(hop.dst_player, relay_rx_energy(radio, bits), rec.round)
-                if self.batteries[hop.dst_player].dead:
+                if self._debit(hop.dst_player, self.relay_rx_j, t):
                     break   # drained by the receive: it cannot forward
         rec.routing_failures += 1
 
-    def _debit(self, player_id: int, amount: float, t: int) -> None:
-        # _send only debits alive nodes, so a dead battery now means this
-        # debit killed it
+    def _debit(self, player_id: int, amount: float, t: int) -> bool:
+        """Debit an alive node; True when this debit killed it. _send
+        debits only alive nodes, so a dead battery afterwards means this
+        debit killed it."""
         battery = self.batteries[player_id]
         self.metrics.debits[player_id].append(battery.debit(amount))
         self._residual = None
@@ -340,6 +345,8 @@ class MatchSim:
             self.metrics.deaths.append((player_id, t))
             self.alive.remove(self.kins[player_id])
             self._hops = None
+            return True
+        return False
 
     def run(self) -> MatchResult:
         early_stop = None

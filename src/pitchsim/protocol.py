@@ -11,7 +11,9 @@ fails with no route. A step reads the holder, the positions and the
 alive set, never the packet's origin, so ``NextHops`` computes each
 holder's step once per snapshot and alive set. Distances equal
 ``geometry.distance`` bit for bit, with no ``Point`` built; a holder's
-own is ``nearest_sink_xy``'s, so it never relays to itself.
+own is ``nearest_sink_xy``'s, so it never relays to itself. A ``Hop``
+is a value record (a NamedTuple); a ``Route`` checks that its hops
+join up.
 
 The protocol name (``Scenario.protocol``) is the whole protocol
 identity: it fixes the trigger, the sink preset and the routing rule.
@@ -21,8 +23,8 @@ A trigger returns only packet origins; the engine numbers the packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
-from typing import Iterable, Optional, Sequence
+from math import hypot, inf
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import FieldConfig, nearest_sink_xy
 from .mobility import PlayerKinematics
@@ -32,8 +34,8 @@ THEFAME = "thefame"
 WSTM = "wstm"
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
+    """One hop of a route, a value record."""
     src: int                        # sending player
     dst_player: Optional[int]       # exactly one of dst_player / dst_sink is set
     dst_sink: Optional[int]
@@ -80,10 +82,17 @@ class NextHops:
         sid, d_sink, sink = nearest_sink_xy(hx, hy, self.field)
         for q in self.players:
             if hypot(hx - q.x, hy - q.y) < d_sink and q.player_id != hid:
-                if sid not in self.nearest:
-                    self.nearest[sid] = min((hypot(p.x - sink.x, p.y - sink.y), p.player_id, p)
-                                            for p in self.players)
-                best_d, best_id, best = self.nearest[sid]
+                if sid in self.nearest:
+                    best_d, best_id, best = self.nearest[sid]
+                else:
+                    # ties to the lowest id, whatever the list order
+                    sx, sy = sink.x, sink.y
+                    best_d = best_id = inf
+                    for p in self.players:
+                        d = hypot(p.x - sx, p.y - sy)
+                        if d < best_d or d == best_d and p.player_id < best_id:
+                            best_d, best_id, best = d, p.player_id, p
+                    self.nearest[sid] = best_d, best_id, best
                 step = None if best_d >= d_sink else (
                     Hop(hid, best_id, None, hypot(hx - best.x, hy - best.y)), best)
                 break

@@ -333,3 +333,26 @@ def test_compare_memory_does_not_grow_with_the_seed_count(tmp_path):
     assert compare("0") == EXIT_OK
     one, four = peak("0"), peak("0..3")
     assert four <= 1.5 * one, (four, one)
+
+
+def test_one_seed_compare_runs_the_report_guard_once_per_scenario_built(tmp_path,
+                                                                        monkeypatch):
+    # the parse, the pooled check, the lowest seed, two protocols and one
+    # seeded pair: a world checks the scenarios it serves field by field
+    # and builds none. cli and scenario are imported together, as in
+    # test_compare_moves_the_players_once_per_seed
+    from pitchsim import cli, scenario
+    calls = []
+    original = scenario.check_report_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "check_report_bounds", counted)
+    monkeypatch.setattr(cli, "check_report_bounds", counted)
+    preset = Path(__file__).resolve().parents[1] / "scenarios" / "high-rate.cfg"
+    path = write(tmp_path, preset.read_text() + "rounds = 1\n")
+    assert cli.main(["compare", "--scenario", path, "--seeds", "0",
+                     "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    assert len(calls) == 7

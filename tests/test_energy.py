@@ -1,5 +1,8 @@
+import math
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pitchsim.energy import (FIRST_ORDER, Battery, InvalidHopCountError,
                              NegativeInputError, RadioModel, direct_tx_energy,
@@ -160,3 +163,61 @@ def test_battery_replay_reproduces_state_exactly(initial, amounts):
     assert b.residual == b.initial - b.consumed  # exact by construction
     # residual never increases, never below zero
     assert 0.0 <= b.residual <= b.initial
+
+
+def property_debit(b, amount):
+    """Battery.debit as it read through the ``dead`` and ``residual``
+    properties: the reference its one read of ``initial - consumed`` must
+    match bit for bit."""
+    if amount < 0:
+        raise NegativeInputError(f"amount={amount}")
+    if b.dead:
+        return 0.0
+    remaining = b.residual
+    if amount >= remaining:
+        b.consumed = b.initial
+        return remaining
+    b.consumed = b.consumed + amount
+    return amount
+
+
+@st.composite
+def battery_states(draw):
+    """(initial, consumed, amount): live, just-dead and overdrawn batteries,
+    and amounts below, at and above the remaining energy, both zeros and
+    a few negatives."""
+    initial = draw(st.sampled_from([0.025, 1000.0, 5e-324]) | st.floats(1e-300, 1e300))
+    consumed = draw(st.sampled_from([0.0, -0.0, initial, math.nextafter(initial, 0.0),
+                                     math.nextafter(initial, math.inf)])
+                    | st.floats(0.0, initial) | st.floats(initial, 2.0 * initial))
+    remaining = initial - consumed
+    near = [remaining, math.nextafter(remaining, -math.inf),
+            math.nextafter(remaining, math.inf)]
+    amount = draw(st.sampled_from([0.0, -0.0, math.inf, -1e-300] + near)
+                  | st.floats(0.0, 2.0 * initial) | st.floats(-1.0, 0.0))
+    return initial, consumed, amount
+
+
+@given(battery_states())
+@example((0.025, 0.0, 0.0))
+@example((0.025, 0.0, -0.0))
+@example((0.025, 0.025, 0.0))           # dead
+@example((0.025, 0.025, 1.0))
+@example((0.025, 0.01, 0.015))          # at the remaining energy
+@example((0.025, 0.01, 0.014999999999999999))
+@example((1.0, 0.3, 0.7000000000000001))
+# consumed + remaining rounds to just below initial: only the drain, not an
+# addition, leaves consumed == initial
+@example((0.9391491627785106, 0.35800764067250507, 0.9391491627785106 - 0.35800764067250507))
+def test_debit_matches_the_property_based_reference(state):
+    initial, consumed, amount = state
+    got, want = Battery(initial, consumed), Battery(initial, consumed)
+    try:
+        want_applied = property_debit(want, amount)
+    except NegativeInputError:
+        with pytest.raises(NegativeInputError):
+            got.debit(amount)
+        return
+    # struct bits, so that -0.0 and 0.0 differ
+    assert (struct.pack("<2d", got.debit(amount), got.consumed)
+            == struct.pack("<2d", want_applied, want.consumed))

@@ -285,6 +285,25 @@ def test_alive_list_equals_a_fresh_recount_every_round():
     assert sim.alive == []
 
 
+def test_debit_reports_each_death_it_causes():
+    # default wstm, seed 0: every node dies, relays among them
+    sim = MatchSim(Scenario(protocol="wstm"))
+    debit, killed = sim._debit, []
+
+    def watched(player_id, amount, t):
+        died = debit(player_id, amount, t)
+        assert died == (sim.kins[player_id] not in sim.alive)
+        if died:
+            killed.append((player_id, t))
+        return died
+
+    sim._debit = watched
+    while sim.run_round().alive:
+        pass
+    assert killed == sim.metrics.deaths
+    assert len(killed) == len(sim.kins)
+
+
 @pytest.mark.parametrize("energy_j", [0.025, 0.002])
 def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatch):
     # nodes die inside sending rounds, relays among them, so a next-hop
@@ -392,7 +411,9 @@ def test_shared_world_gives_the_results_of_private_worlds(case, order):
         assert len(shared["wstm"].events) < len(shared["thefame"].events)
 
 
-@pytest.mark.parametrize("change", [{"seed": 2}, {"mobility": MobilityParams(v_walk=4.0)}])
+@pytest.mark.parametrize("change", [{"seed": 2}, {"rounds": 299},
+                                    {"channel": ChannelParams(drop_probability=0.5)},
+                                    {"mobility": MobilityParams(v_walk=4.0)}])
 def test_world_refuses_a_scenario_it_does_not_serve(change):
     base = small()
     with pytest.raises(ValueError):
