@@ -105,7 +105,7 @@ class Battery:
 
     @property
     def dead(self) -> bool:
-        return self.residual <= 0.0
+        return self.initial - self.consumed <= 0.0
 
     def debit(self, amount: float) -> float:
         """Drain up to ``amount`` joules; returns what was actually applied.

@@ -271,7 +271,7 @@ class MatchSim:
     def run_round(self) -> RoundRecord:
         self._round += 1
         t = self._round
-        rec = RoundRecord(round=t, alive=0)
+        rec = RoundRecord(t, 0)   # round, alive; positional, as Delivery below
 
         world = self.world
         if t > world.round:
@@ -323,9 +323,9 @@ class MatchSim:
                     return
                 if hop.dst_player is None:
                     delay = propagation_delay(channel, route, bits)
-                    self.feed.append(Delivery(
-                        time=t + delay, packet_id=packet_id, sink_id=hop.dst_sink,
-                        origin=origin, round=t, delay=delay))
+                    # positional: keywords cost about twice as much per record
+                    self.feed.append(Delivery(t + delay, packet_id, hop.dst_sink, origin,
+                                              t, delay))
                     rec.received += 1
                     rec.delay_sum += delay
                     return

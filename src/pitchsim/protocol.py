@@ -23,6 +23,7 @@ A trigger returns only packet origins; the engine numbers the packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from math import hypot, inf
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -47,12 +48,13 @@ class Route:
     hops: tuple[Hop, ...]
 
     def __post_init__(self):
-        if not self.hops:
+        hops = self.hops
+        if not hops:
             raise ValueError("a route needs at least one hop")
-        for a, b in zip(self.hops, self.hops[1:]):
+        for a, b in pairwise(hops):
             if a.dst_player is None or a.dst_player != b.src:
                 raise ValueError("route hops are not contiguous")
-        if self.hops[-1].dst_sink is None:
+        if hops[-1].dst_sink is None:
             raise ValueError("a route must terminate at a sink")
 
     @property
@@ -108,14 +110,16 @@ def wstm_route(player: PlayerKinematics, table: NextHops,
     step of ``table`` per hop. Returns None when the greedy rule dead-ends
     or the hop budget runs out."""
     steps, hops, holder = table.steps, [], player
-    while holder is not None and len(hops) < max_hops:
+    while len(hops) < max_hops:
         hid = holder.player_id
         step = steps[hid] if hid in steps else table.step(holder)
         if step is None:
             return None
         hop, holder = step
         hops.append(hop)
-    return Route(tuple(hops)) if holder is None else None
+        if holder is None:
+            return Route(tuple(hops))
+    return None
 
 
 def trigger_transmissions(protocol: str, period_s: int, t: int,

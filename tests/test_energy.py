@@ -167,11 +167,11 @@ def test_battery_replay_reproduces_state_exactly(initial, amounts):
 
 def property_debit(b, amount):
     """Battery.debit as it read through the ``dead`` and ``residual``
-    properties: the reference its one read of ``initial - consumed`` must
-    match bit for bit."""
+    properties, ``dead`` then being ``residual <= 0.0``: the reference its
+    one read of ``initial - consumed`` must match bit for bit."""
     if amount < 0:
         raise NegativeInputError(f"amount={amount}")
-    if b.dead:
+    if b.residual <= 0.0:
         return 0.0
     remaining = b.residual
     if amount >= remaining:
@@ -212,6 +212,7 @@ def battery_states(draw):
 def test_debit_matches_the_property_based_reference(state):
     initial, consumed, amount = state
     got, want = Battery(initial, consumed), Battery(initial, consumed)
+    assert got.dead == (got.residual <= 0.0)
     try:
         want_applied = property_debit(want, amount)
     except NegativeInputError:
@@ -221,3 +222,4 @@ def test_debit_matches_the_property_based_reference(state):
     # struct bits, so that -0.0 and 0.0 differ
     assert (struct.pack("<2d", got.debit(amount), got.consumed)
             == struct.pack("<2d", want_applied, want.consumed))
+    assert got.dead == (got.residual <= 0.0)
