@@ -235,8 +235,7 @@ class MatchSim:
         self.world = world
         self.field = scenario.build_field()
         self.chan_rng = stream(scenario.seed, "channel")
-        self.packet_bits = scenario.radio.packet_bits
-        self.relay_rx_j = relay_rx_energy(scenario.radio, self.packet_bits)
+        self.relay_rx_j = relay_rx_energy(scenario.radio, scenario.radio.packet_bits)
         # indexed by player id; routes read these kinematics, loaded from the
         # world's snapshots (the world's own may be rounds ahead)
         self.kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
@@ -313,7 +312,7 @@ class MatchSim:
             route = wstm_route(self.kins[origin], self._hops, self.scenario.max_hops)
         if route is not None:
             radio, channel, chan_rng = self.scenario.radio, self.scenario.channel, self.chan_rng
-            bits, t = self.packet_bits, rec.round
+            bits, t = radio.packet_bits, rec.round
             rec.origin_sends += 1
             for hop in route.hops:
                 self._debit(hop.src, direct_tx_energy(radio, bits, hop.dist), t)
