@@ -74,6 +74,9 @@ def _parse_seeds(spec: str) -> list[int]:
         first, last = int(lo), int(hi)
         if last < first:
             raise ValueError(f"empty seed range {spec!r}")
+        # a range longer than sys.maxsize has no len(), and no list of it
+        if last - first >= sys.maxsize:
+            raise ValueError(f"seed range {spec!r} is too large to count")
         return list(range(first, last + 1))
     return [int(spec)]
 

@@ -17,11 +17,12 @@ computes it once per match. ``MatchSim._debit`` reports the death it
 causes, and ``_send`` stops a packet at a relay that its receive killed.
 
 A round is two passes. The world pass (``World.advance``) moves every
-player, steps their lactate and checks every fatigue monitor. It draws
-only on the ``mobility`` and ``scheduling`` streams and reads no
-battery: the human keeps playing when the node dies, so trajectories
-and monitor outcomes depend only on (seed, mobility and physiology
-parameters), never on the protocol. The protocol pass (``MatchSim``)
+player, then steps the squad's lactate and checks its fatigue monitor,
+one physiology call each per round. It draws only on the ``mobility``
+and ``scheduling`` streams and reads no battery: the human keeps
+playing when the node dies, so trajectories and monitor outcomes
+depend only on (seed, mobility and physiology parameters), never on
+the protocol. The protocol pass (``MatchSim``)
 keeps the round's fatigue events of nodes alive at its start, then
 triggers, routes, sends and records. Dead nodes stop sensing,
 transmitting, relaying and receiving, and never come back, so dropping
@@ -159,10 +160,11 @@ class World:
     """The protocol-independent part of a match, one round at a time.
 
     It owns the group reference, the players' kinematics on the
-    ``mobility`` and ``scheduling`` streams, each player's lactate and
-    ``FatigueMonitor``, and the trajectory/lactate recording. ``advance``
-    plays one round: movement, then lactate and the fatigue check of
-    every player, whatever the state of the player's battery.
+    ``mobility`` and ``scheduling`` streams, every player's lactate level,
+    the squad's one ``FatigueMonitor``, and the trajectory/lactate
+    recording. ``advance`` plays one round: movement, then one
+    ``step_lactate`` over the squad and one ``monitor.check``, whatever
+    the state of any player's battery.
 
     For each round on which a packet can originate (one with a fatigue
     event, or a multiple of ``wstm_period_s``) the world keeps the
@@ -180,7 +182,7 @@ class World:
         self.group = GroupReference.centered(self.field)
         self.kins = make_players(scenario.players, self.field)
         self.lactate = [scenario.lactate.l_base] * len(self.kins)
-        self.monitors = [FatigueMonitor(scenario.thresholds) for _ in self.kins]
+        self.monitor = FatigueMonitor(scenario.thresholds, self.kins)
         self.round = 0
         # round -> (its fatigue events, x0, y0, x1, y1, ...)
         self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
@@ -206,20 +208,17 @@ class World:
         kins = self.kins
         move_players(self.group, kins, self.field, self.scenario.mobility, self.mob_rng,
                      self.sched_rng)
-        lactate, monitors, params = self.lactate, self.monitors, self.scenario.lactate
-        events: list[FatigueEvent] = []
-        for i, kin in enumerate(kins):
-            level = lactate[i] = step_lactate(lactate[i], kin.speed_kmh, params)
-            ev = monitors[i].check(level, kin.cumulative_km, t, kin.player_id)
-            if ev is not None:
-                events.append(ev)
+        lactate = self.lactate
+        step_lactate(lactate, kins, self.scenario.lactate)
+        events = self.monitor.check(lactate, kins, t)
         if self.record_trajectory:
             self.trajectory.extend((k.player_id, t, k.x, k.y, k.mode.value) for k in kins)
         if self.record_lactate:
             self.lactate_trace.extend((k.player_id, t, level)
                                       for k, level in zip(kins, lactate))
-        if events or t % self.scenario.wstm_period_s == 0:
-            self.history[t] = (events, array("d", [v for k in kins for v in (k.x, k.y)]))
+        if events is not None or t % self.scenario.wstm_period_s == 0:
+            self.history[t] = (events or [],
+                               array("d", [v for k in kins for v in (k.x, k.y)]))
 
 
 class MatchSim:

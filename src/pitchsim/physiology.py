@@ -15,6 +15,12 @@ distance crosses its threshold. The lactate trigger re-arms only after
 the level falls below a hysteresis fraction of the threshold; the
 distance trigger fires at most once per match.
 
+Both halves act on the whole squad, once per round: ``step_lactate``
+steps every player's level in place, and one ``FatigueMonitor`` holds
+every player's trigger flags and returns the round's events in player
+order, at most one per player. Per player, the floats and the events are
+those of the scalar law and trigger above.
+
 Units: mmol/L for concentration, km/h for speed, seconds for time,
 km for distance. Reports convert mmol/L to mg/dL with the 9.0 factor.
 """
@@ -22,8 +28,13 @@ km for distance. Reports convert mmol/L to mg/dL with the 9.0 factor.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf, isfinite
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .mobility import PlayerKinematics
 
 MGDL_PER_MMOL_L = 9.0
 
@@ -55,15 +66,21 @@ class LactateParams:
             raise ValueError("beta must be in [0, 1) for a stable 1 s step")
 
 
-def step_lactate(level: float, v: float, params: LactateParams) -> float:
-    """One 1 s Euler step of the production/clearance law; never below zero."""
-    # d if d > 0.0 else 0.0 is max(0.0, d) without a builtin call, same floats
-    d = v - params.v_aerobic
-    production = params.alpha * (d if d > 0.0 else 0.0)
-    d = level - params.l_base
-    clearance = params.beta * (d if d > 0.0 else 0.0)
-    new = level + (production - clearance)
-    return new if new > 0.0 else 0.0
+def step_lactate(levels: list[float], players: Sequence[PlayerKinematics],
+                 params: LactateParams) -> None:
+    """One 1 s Euler step of the production/clearance law for every
+    player, in place: ``levels[i]`` moves at ``players[i].speed_kmh``.
+    A level never falls below zero."""
+    l_base, v_aerobic, alpha, beta = params.l_base, params.v_aerobic, params.alpha, params.beta
+    for i, kin in enumerate(players):
+        level = levels[i]
+        # d if d > 0.0 else 0.0 is max(0.0, d) without a builtin call, same floats
+        d = kin.speed_kmh - v_aerobic
+        production = alpha * (d if d > 0.0 else 0.0)
+        d = level - l_base
+        clearance = beta * (d if d > 0.0 else 0.0)
+        new = level + (production - clearance)
+        levels[i] = new if new > 0.0 else 0.0
 
 
 class FatigueCause(enum.Enum):
@@ -93,23 +110,34 @@ class FatigueEvent:
 
 
 class FatigueMonitor:
-    """Per-player trigger state: lactate hysteresis and one-shot distance."""
+    """Every player's trigger state: lactate hysteresis and one-shot
+    distance, one flag of each per player, in the order of ``players``."""
 
-    def __init__(self, thresholds: FatigueThresholds):
+    def __init__(self, thresholds: FatigueThresholds, players: Sequence[PlayerKinematics]):
         self.thresholds = thresholds
-        self._lactate_armed = True
-        self._distance_fired = False
+        self._rearm = thresholds.lactate * thresholds.hysteresis
+        self._lactate_armed = [True] * len(players)
+        self._distance_fired = [False] * len(players)
 
-    def check(self, lactate: float, cum_distance_km: float, t: float,
-              player_id: int) -> FatigueEvent | None:
-        """Evaluate the composite trigger; lactate takes precedence."""
-        th = self.thresholds
-        if not self._lactate_armed and lactate < th.lactate * th.hysteresis:
-            self._lactate_armed = True
-        if self._lactate_armed and lactate >= th.lactate:
-            self._lactate_armed = False
-            return FatigueEvent(player_id, t, FatigueCause.LACTATE, lactate)
-        if not self._distance_fired and cum_distance_km >= th.distance_km:
-            self._distance_fired = True
-            return FatigueEvent(player_id, t, FatigueCause.DISTANCE, cum_distance_km)
-        return None
+    def check(self, levels: list[float], players: Sequence[PlayerKinematics],
+              t: float) -> list[FatigueEvent] | None:
+        """Evaluate every player's composite trigger at ``levels[i]`` and
+        ``players[i].cumulative_km``. At most one event per player, lactate
+        before distance; the events come in player order, and a round with
+        none returns None."""
+        threshold, rearm = self.thresholds.lactate, self._rearm
+        distance_km = self.thresholds.distance_km
+        armed, distance_fired = self._lactate_armed, self._distance_fired
+        events = []
+        for i, kin in enumerate(players):
+            level = levels[i]
+            if not armed[i] and level < rearm:
+                armed[i] = True
+            if armed[i] and level >= threshold:
+                armed[i] = False
+                events.append(FatigueEvent(kin.player_id, t, FatigueCause.LACTATE, level))
+            elif not distance_fired[i] and kin.cumulative_km >= distance_km:
+                distance_fired[i] = True
+                events.append(FatigueEvent(kin.player_id, t, FatigueCause.DISTANCE,
+                                           kin.cumulative_km))
+        return events or None

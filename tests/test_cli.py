@@ -73,6 +73,9 @@ def test_parse_seeds():
     assert _parse_seeds("7") == [7]
     with pytest.raises(ValueError):
         _parse_seeds("9..2")
+    # sys.maxsize + 1 seeds: one more than a range can count
+    with pytest.raises(ValueError):
+        _parse_seeds(f"0..{sys.maxsize}")
 
 
 def test_run_writes_reports_and_is_byte_deterministic(tmp_path):
@@ -307,6 +310,16 @@ def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):
               "--out", str(out)])
     assert exc.value.code == EXIT_USAGE
     assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_seed_range_too_large_to_count_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", write(tmp_path, FAST),
+                 "--seeds", "0..99999999999999999999999", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["pitchsim: error: seed range '0..99999999999999999999999' "
+                   "is too large to count"]
     assert not out.exists()
 
 
