@@ -95,10 +95,6 @@ PARAMS = st.builds(LactateParams,
                    beta=st.sampled_from([0.0, 0.005]) | st.floats(0.0, 0.999))
 
 
-def bits(x):
-    return struct.pack("<d", x)
-
-
 @given(st.data())
 def test_step_lactate_matches_the_max_reference(data):
     params = data.draw(PARAMS)
@@ -252,7 +248,8 @@ def test_squad_matches_the_per_player_references(params, thresholds, n, rounds, 
         step_lactate(levels, squad, params)
         want_levels = [max_step_lactate(level, kin.speed_kmh, params)
                        for level, kin in zip(want_levels, squad)]
-        assert [bits(x) for x in levels] == [bits(x) for x in want_levels]
+        assert ([struct.pack("<d", x) for x in levels]
+                == [struct.pack("<d", x) for x in want_levels])
 
         sampled = [rng.choice(samples + [rng.uniform(0.0, 2.0 * th)]) for _ in range(n)]
         want = [ev for kin, level, ref in zip(squad, sampled, references)
