@@ -68,17 +68,18 @@ def _load_scenario(path: str | None) -> Scenario:
     return parse_scenario(path)
 
 
-def _parse_seeds(spec: str) -> list[int]:
+def _parse_seeds(spec: str) -> range:
     if ".." in spec:
         lo, _, hi = spec.partition("..")
         first, last = int(lo), int(hi)
         if last < first:
             raise ValueError(f"empty seed range {spec!r}")
-        # a range longer than sys.maxsize has no len(), and no list of it
+        # a range longer than sys.maxsize has no len()
         if last - first >= sys.maxsize:
             raise ValueError(f"seed range {spec!r} is too large to count")
-        return list(range(first, last + 1))
-    return [int(spec)]
+        return range(first, last + 1)
+    seed = int(spec)
+    return range(seed, seed + 1)
 
 
 def _cmd_run(args) -> int:

@@ -19,7 +19,7 @@ def _check(executable):
     proc = subprocess.run([executable, str(SCRIPT)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].endswith(": 4 of 4 digests match")
+    assert proc.stdout.splitlines()[-1].endswith(": 6 of 6 digests match")
 
 
 def test_goldens_hold_under_the_running_interpreter():

@@ -69,13 +69,21 @@ def test_unknown_subcommand_exits_usage():
 
 
 def test_parse_seeds():
-    assert _parse_seeds("0..3") == [0, 1, 2, 3]
-    assert _parse_seeds("7") == [7]
+    assert _parse_seeds("0..3") == range(0, 4)
+    assert _parse_seeds("7") == range(7, 8)
     with pytest.raises(ValueError):
         _parse_seeds("9..2")
     # sys.maxsize + 1 seeds: one more than a range can count
     with pytest.raises(ValueError):
         _parse_seeds(f"0..{sys.maxsize}")
+    # a million seeds, held as a range, not a list of about 40 MB
+    tracemalloc.start()
+    try:
+        seeds = _parse_seeds("0..999999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) == 1_000_000 and peak < 1_000_000
 
 
 def test_run_writes_reports_and_is_byte_deterministic(tmp_path):

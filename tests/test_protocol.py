@@ -20,13 +20,14 @@ def player(pid, x, y):
     return PlayerKinematics(pid, float(x), float(y), 0.0, 0.0)
 
 
-def test_route_validation():
-    with pytest.raises(ValueError):
-        Route(())
-    with pytest.raises(ValueError):  # does not end at a sink
-        Route((Hop(0, 1, None, 5.0),))
-    with pytest.raises(ValueError):  # hops not contiguous
-        Route((Hop(0, 1, None, 5.0), Hop(2, None, 1, 5.0)))
+def assert_joined_up(route, origin):
+    """A found route leaves ``origin``, each hop is sent by the player the
+    previous one reached, and only the last hop reaches a sink."""
+    hops = route.hops
+    assert hops and hops[0].src == origin.player_id
+    for a, b in zip(hops, hops[1:]):
+        assert a.dst_sink is None and a.dst_player == b.src
+    assert hops[-1].dst_player is None and hops[-1].dst_sink is not None
 
 
 def test_thefame_route_is_single_hop_to_nearest():
@@ -53,7 +54,9 @@ def test_thefame_always_one_hop():
     rng = random.Random(8)
     for _ in range(200):
         p = player(0, rng.uniform(0, 106), rng.uniform(0, 68))
-        assert thefame_route(p, SIX).n_hops == 1
+        r = thefame_route(p, SIX)
+        assert_joined_up(r, p)
+        assert r.n_hops == 1
 
 
 def test_wstm_goalkeeper_sends_direct():
@@ -290,6 +293,8 @@ def test_one_table_serves_every_origin_of_a_snapshot():
         for origin in rng.sample(players, n):
             max_hops = rng.randint(1, 6)
             got = wstm_route(origin, table, max_hops)
+            if got is not None:
+                assert_joined_up(got, origin)
             want = _per_call_wstm_route(origin, players, field, max_hops)
             assert _bits(got) == _bits(want)
             multi_hop += got is not None and got.n_hops > 1
