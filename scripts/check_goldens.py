@@ -6,8 +6,8 @@
 This file is where each pinned run is recorded and computed: seed 0 of
 each workload in ``benchmarks/goldens.json`` (the benchmark's own
 workloads and digest rule, read from ``benchmarks/``), and the runs
-pinned by ``DEATH_RUN_DIGEST``, ``RECORDED_RUN_DIGEST`` and
-``MOBILITY_RUN_DIGEST`` below. It uses the standard library only, so
+pinned by ``DEATH_RUN_DIGEST``, ``RECORDED_RUN_DIGEST``,
+``MOBILITY_RUN_DIGEST`` and ``POOLED_RUN_DIGEST`` below. It uses the standard library only, so
 any CPython that runs pitchsim can run it, with or without pytest. It
 prints one line per digest and exits 1 if any differs.
 ``tests/test_goldens.py`` runs the same ``checks()`` in-process.
@@ -78,13 +78,18 @@ def death_run_digest(out_dir: Path) -> str:
 RECORDED_RUN_DIGEST = "151fc49466031367522e89ebfcfe2003cdf475ca34875f86d5e2de813ebcde23"
 
 
+def _high_rate_200(out_dir: Path) -> str:
+    """Path of the high-rate preset cut to 200 rounds, written under ``out_dir``."""
+    short = out_dir / "short.cfg"
+    short.write_text((ROOT / "scenarios" / "high-rate.cfg").read_text() + "rounds = 200\n")
+    return str(short)
+
+
 def recorded_run_digest(out_dir: Path) -> str:
     """Digest of ``run --dump-trajectory --dump-lactate`` on the high-rate
     preset cut to 200 rounds."""
-    short = out_dir / "short.cfg"
-    short.write_text((ROOT / "scenarios" / "high-rate.cfg").read_text() + "rounds = 200\n")
     out = out_dir / "out"
-    return _cli_digest(["run", "--scenario", str(short), "--out", str(out),
+    return _cli_digest(["run", "--scenario", _high_rate_200(out_dir), "--out", str(out),
                         "--dump-trajectory", "--dump-lactate"], out)
 
 
@@ -101,6 +106,21 @@ def mobility_run_digest(out_dir: Path) -> str:
     return hashlib.sha256(repr((finals, sprints)).encode()).hexdigest()
 
 
+# Recorded before summarize pooled its counters in one walk. Each protocol's
+# pooled summary.csv row adds three runs, and wstm's pooled delay sum is
+# 5.821474864456268 left to right but ...267 compensated, as the builtin
+# sum() adds floats from Python 3.12 on; so this pins the adding order.
+POOLED_RUN_DIGEST = "9ea69c14f6c66eb4975684090766660e6b7cd4767a6c2342aaf9ffab45cf6101"
+
+
+def pooled_run_digest(out_dir: Path) -> str:
+    """Digest of ``compare --seeds 0..2`` on the high-rate preset cut to
+    200 rounds."""
+    out = out_dir / "out"
+    return _cli_digest(["compare", "--scenario", _high_rate_200(out_dir),
+                        "--seeds", "0..2", "--out", str(out)], out)
+
+
 def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
     """Every pinned run: (label, recorded digest, compute), where
     ``compute(out_dir)`` returns the run's digest, writing under the empty
@@ -110,7 +130,8 @@ def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
             for name in sorted(goldens)] + [
         ("DEATH_RUN_DIGEST", DEATH_RUN_DIGEST, death_run_digest),
         ("RECORDED_RUN_DIGEST", RECORDED_RUN_DIGEST, recorded_run_digest),
-        ("MOBILITY_RUN_DIGEST", MOBILITY_RUN_DIGEST, mobility_run_digest)]
+        ("MOBILITY_RUN_DIGEST", MOBILITY_RUN_DIGEST, mobility_run_digest),
+        ("POOLED_RUN_DIGEST", POOLED_RUN_DIGEST, pooled_run_digest)]
 
 
 def main() -> int:

@@ -31,16 +31,13 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .mobility import PlayerKinematics
+from .mobility import MobilityParams, PlayerKinematics
 
 MGDL_PER_MMOL_L = 9.0
 
 
-def onset_alpha(l_base: float = 1.0, l_threshold: float = 2.2,
-                v_peak: float = 25.0, v_aerobic: float = 12.9,
+def onset_alpha(l_base: float, l_threshold: float, v_peak: float, v_aerobic: float,
                 onset_s: float = 180.0) -> float:
     """Production rate that lifts baseline to threshold after ``onset_s``
     seconds at ``v_peak``, with clearance disabled."""
@@ -48,10 +45,25 @@ def onset_alpha(l_base: float = 1.0, l_threshold: float = 2.2,
 
 
 @dataclass(frozen=True)
+class FatigueThresholds:
+    lactate: float = 2.2         # mmol/L
+    distance_km: float = 11.0
+    hysteresis: float = 0.9      # lactate re-arm fraction of threshold
+
+    def __post_init__(self):
+        if not (0 < self.lactate < inf and 0 < self.distance_km < inf):
+            raise ValueError("thresholds must be in (0, inf)")
+        if not 0.0 < self.hysteresis <= 1.0:
+            raise ValueError("hysteresis must be in (0, 1]")
+
+
+@dataclass(frozen=True)
 class LactateParams:
     l_base: float = 1.0
     v_aerobic: float = 12.9
-    alpha: float = onset_alpha()
+    # three minutes from baseline to the default trigger level at sprint speed
+    alpha: float = onset_alpha(l_base, FatigueThresholds.lactate, MobilityParams.v_sprint,
+                               v_aerobic)
     beta: float = 0.005          # 1/s; clearance half-life ~2.3 min at rest
 
     def __post_init__(self):
@@ -86,19 +98,6 @@ def step_lactate(levels: list[float], players: Sequence[PlayerKinematics],
 class FatigueCause(enum.Enum):
     LACTATE = "lactate"
     DISTANCE = "distance"
-
-
-@dataclass(frozen=True)
-class FatigueThresholds:
-    lactate: float = 2.2         # mmol/L
-    distance_km: float = 11.0
-    hysteresis: float = 0.9      # lactate re-arm fraction of threshold
-
-    def __post_init__(self):
-        if not (0 < self.lactate < inf and 0 < self.distance_km < inf):
-            raise ValueError("thresholds must be in (0, inf)")
-        if not 0.0 < self.hysteresis <= 1.0:
-            raise ValueError("hysteresis must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """pitchsim runs on the standard library alone: no module of the package
-imports a third-party package, and the project declares no dependency."""
+imports a third-party package, and the project declares no dependency.
+No module uses the builtin ``sum()``.
+
+This file imports only the standard library, so it also runs without
+pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
 
 import ast
 import re
@@ -26,6 +30,23 @@ def test_sources_import_only_the_standard_library():
                for name in _absolute_imports(path)
                if name not in sys.stdlib_module_names}
     assert not outside
+
+
+def _names_sum(node: ast.AST) -> bool:
+    """A use of the name ``sum``: read or called, ``builtins.sum``, or imported."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name == "sum" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "sum"
+            or isinstance(node, ast.Attribute) and node.attr == "sum")
+
+
+# From Python 3.12 on, the builtin sum() compensates float rounding, so a
+# total through it would differ in its last bits between supported Pythons.
+def test_sources_never_use_sum():
+    uses = [f"{path.name}:{node.lineno}" for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if _names_sum(node)]
+    assert not uses
 
 
 def test_project_declares_no_dependencies():
