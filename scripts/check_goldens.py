@@ -7,9 +7,10 @@ This file is where each pinned run is recorded and computed: seed 0 of
 each workload in ``benchmarks/goldens.json`` (the benchmark's own
 workloads and digest rule, read from ``benchmarks/``), and the runs
 pinned by ``DEATH_RUN_DIGEST``, ``RECORDED_RUN_DIGEST``,
-``MOBILITY_RUN_DIGEST`` and ``POOLED_RUN_DIGEST`` below. It uses the standard library only, so
-any CPython that runs pitchsim can run it, with or without pytest. It
-prints one line per digest and exits 1 if any differs.
+``MOBILITY_RUN_DIGEST`` and ``POOLED_RUN_DIGEST`` below. It uses the
+standard library only, so any CPython that runs pitchsim can run it,
+with or without pytest. It prints one line per digest and exits 1 if
+any differs.
 ``tests/test_goldens.py`` runs the same ``checks()`` in-process.
 """
 
