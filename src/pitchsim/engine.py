@@ -36,11 +36,13 @@ already played and advances it live past them (the first may have
 stopped early, once all its nodes died). A world keeps only what a
 replay reads: each round's fatigue events, and one position snapshot
 per round on which a packet can originate (a round with an event, or a
-multiple of ``wstm_period_s``). Every match routes over its own copies
-of the kinematics, loaded from those snapshots. Recording is the
-world's too: a match returns the trajectory and lactate trace of the
-world it ran on, which records them only when built with
-``record_trajectory`` or ``record_lactate``.
+multiple of ``wstm_period_s``): two ``array('d')``s, ``xs`` and ``ys``,
+by player id. Every match routes over its own copies of the kinematics
+and loads into them only what its router reads: the origins' positions
+under thefame, every player's under wstm. Recording is the world's too:
+a match returns the trajectory and lactate trace of the world it ran on,
+which records them only when built with ``record_trajectory`` or
+``record_lactate``.
 
 ``MatchSim.alive`` holds the alive players' kinematics in player-id
 order. It starts with every player and loses a player inside the debit
@@ -168,9 +170,10 @@ class World:
 
     For each round on which a packet can originate (one with a fatigue
     event, or a multiple of ``wstm_period_s``) the world keeps the
-    round's events and an ``array('d')`` of every player's x and y. Any
-    number of matches can run on it: a match replays the rounds the
-    world has played and advances it past them.
+    round's events and two ``array('d')``s, ``xs`` and ``ys``, of the
+    players' positions by player id. Any number of matches can run on
+    it: a match replays the rounds the world has played and advances it
+    past them.
     """
 
     def __init__(self, scenario: Scenario, record_trajectory: bool = False,
@@ -184,8 +187,8 @@ class World:
         self.lactate = [scenario.lactate.l_base] * len(self.kins)
         self.monitor = FatigueMonitor(scenario.thresholds, self.kins)
         self.round = 0
-        # round -> (its fatigue events, x0, y0, x1, y1, ...)
-        self.history: dict[int, tuple[list[FatigueEvent], array]] = {}
+        # round -> (its fatigue events, xs, ys), positions by player id
+        self.history: dict[int, tuple[list[FatigueEvent], array, array]] = {}
         self.record_trajectory = record_trajectory
         self.record_lactate = record_lactate
         # CSV-ordered rows: (player_id, round, x, y, mode), (player_id, round, mmol/L)
@@ -217,8 +220,8 @@ class World:
             self.lactate_trace.extend((k.player_id, t, level)
                                       for k, level in zip(kins, lactate))
         if events is not None or t % self.scenario.wstm_period_s == 0:
-            self.history[t] = (events or [],
-                               array("d", [v for k in kins for v in (k.x, k.y)]))
+            self.history[t] = (events or [], array("d", [k.x for k in kins]),
+                               array("d", [k.y for k in kins]))
 
 
 class MatchSim:
@@ -259,10 +262,10 @@ class MatchSim:
 
     def residual_total(self) -> float:
         if self._residual is None:
-            # left to right: since Python 3.12 sum() compensates float rounding
+            # left to right (sum() compensates since 3.12); Battery.residual inline
             total = 0.0
             for b in self.batteries:
-                total += b.residual
+                total += b.initial - b.consumed
             self._residual = total
         return self._residual
 
@@ -277,9 +280,10 @@ class MatchSim:
         kept = world.history.get(t)
         events = kept[0] if kept is not None else ()
         if events:
-            # nodes dead at the start of this pass sense nothing
-            batteries = self.batteries
-            events = [ev for ev in events if not batteries[ev.player_id].dead]
+            if self.metrics.deaths:
+                # nodes dead at the start of this pass sense nothing
+                batteries = self.batteries
+                events = [ev for ev in events if not batteries[ev.player_id].dead]
             self.events.extend(events)
 
         origins = trigger_transmissions(self.scenario.protocol,
@@ -287,11 +291,15 @@ class MatchSim:
                                         self.alive)
         rec.triggered = len(origins)
         if origins:
-            snapshot = kept[1]
-            for kin, x, y in zip(self.kins, snapshot[::2], snapshot[1::2]):
-                kin.x = x
-                kin.y = y
-            self._hops = None
+            _, xs, ys = kept
+            if self.scenario.protocol == THEFAME:   # a single hop reads its origin
+                for origin in origins:
+                    kin = self.kins[origin]
+                    kin.x, kin.y = xs[origin], ys[origin]
+            else:
+                for kin, x, y in zip(self.kins, xs, ys):
+                    kin.x, kin.y = x, y
+                self._hops = None
         for origin in origins:
             self._send(next(self._ids), origin, rec)
 

@@ -17,7 +17,8 @@ single-hop protocol the two coincide.
 CSV conventions are the csv module's, with LF line endings: RFC 4180
 quoting, ``.`` decimal separator, ``None`` as a blank cell and floats
 via ``repr``, so parsing a file back reproduces the values exactly.
-Rows go to the writer as they are, with no per-cell conversion.
+Rows go to the writer as they are, with no per-cell conversion;
+``build_rows`` streams one plain tuple per round straight into it.
 Undefined ratios are ``None`` and so blank, never 0 or 100.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import astuple, dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, RunTotals
 from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
@@ -54,19 +55,9 @@ def throughput_pct(received: int, transmitted: int) -> float:
     return 100.0 * received / transmitted
 
 
-class ReportRow(NamedTuple):
-    round: int
-    alive: int
-    sent_cum: int
-    dropped_cum: int
-    received_cum: int
-    residual_total_j: float
-    mean_delay_s: Optional[float]
-
-
-def build_rows(log: MetricsLog) -> list[ReportRow]:
-    """Cumulative per-round report rows from a metrics log."""
-    rows = []
+def build_rows(log: MetricsLog) -> Iterator[tuple]:
+    """Cumulative per-round report rows from a metrics log, one tuple per
+    round in ``TIMESERIES_COLUMNS`` order."""
     sent = dropped = received = 0
     delay_sum = 0.0
     for rec in log.rounds:
@@ -74,13 +65,8 @@ def build_rows(log: MetricsLog) -> list[ReportRow]:
         dropped += rec.hop_drops
         received += rec.received
         delay_sum += rec.delay_sum
-        rows.append(ReportRow(
-            round=rec.round, alive=rec.alive, sent_cum=sent,
-            dropped_cum=dropped, received_cum=received,
-            residual_total_j=rec.residual_j,
-            mean_delay_s=delay_sum / received if received else None,
-        ))
-    return rows
+        yield (rec.round, rec.alive, sent, dropped, received, rec.residual_j,
+               delay_sum / received if received else None)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -91,7 +77,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> st
     return path
 
 
-def write_timeseries(rows: Sequence[ReportRow], path: str) -> str:
+def write_timeseries(rows: Iterable[Sequence], path: str) -> str:
     return _write_csv(path, TIMESERIES_COLUMNS, rows)
 
 
@@ -177,12 +163,17 @@ def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
 
 def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
     """Write timeseries, events, and a one-row summary for a single run."""
+    return _emit_run_reports(result, result.metrics.totals(), out_dir)
+
+
+def _emit_run_reports(result: MatchResult, totals: RunTotals, out_dir: str) -> list[str]:
+    """``emit_run_reports`` with the run's ``totals`` already taken."""
     os.makedirs(out_dir, exist_ok=True)
     paths = [
         write_timeseries(build_rows(result.metrics),
                          os.path.join(out_dir, "timeseries.csv")),
         write_events(result.events, os.path.join(out_dir, "events.csv")),
-        write_summary([summarize(result.scenario.protocol, [result.metrics.totals()])],
+        write_summary([summarize(result.scenario.protocol, [totals])],
                       os.path.join(out_dir, "summary.csv")),
     ]
     if result.trajectory:
@@ -208,8 +199,9 @@ def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]
         for result in results:
             protocol = result.scenario.protocol
             sub = os.path.join(out_dir, f"{protocol}-seed{seed:03d}")
-            paths.extend(emit_run_reports(result, sub))
-            kept.setdefault(protocol, []).append((seed, result.metrics.totals()))
+            totals = result.metrics.totals()
+            paths.extend(_emit_run_reports(result, totals, sub))
+            kept.setdefault(protocol, []).append((seed, totals))
         # resuming ``pairs`` runs the next pair: hold nothing of this one
         del results, result
     paths.append(write_summary(

@@ -1,3 +1,4 @@
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from pitchsim.energy import Battery, RadioModel, direct_tx_energy
 from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, World,
                              aggregate, run_match, simulate_mobility,
                              stability_period)
+from pitchsim.geometry import nearest_sink_xy
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario, parse_scenario
@@ -431,3 +433,45 @@ def test_world_serves_the_other_protocol():
             == run_match(base, world=own).metrics.rounds)
     assert world.round == own.round == 50
     assert world.history == own.history
+
+
+def test_snapshots_are_the_recorded_positions():
+    # a snapshot is (events, xs, ys) with one array('d') per axis, by player id
+    world = World(_shared_world_cases()["high-rate"], record_trajectory=True)
+    for _ in range(world.scenario.rounds):
+        world.advance()
+    n = len(world.kins)
+    assert len(world.history) > 200
+    for t, (_, xs, ys) in world.history.items():
+        rows = world.trajectory[(t - 1) * n:t * n]
+        assert [r[:2] for r in rows] == [(p, t) for p in range(n)]
+        assert (xs.typecode, ys.typecode) == ("d", "d")
+        assert xs.tobytes() == array("d", [r[2] for r in rows]).tobytes()
+        assert ys.tobytes() == array("d", [r[3] for r in rows]).tobytes()
+
+
+@pytest.mark.parametrize("after_wstm", [False, True])
+def test_thefame_loads_and_debits_only_its_origins(after_wstm):
+    base = _shared_world_cases()["high-rate"]
+    world = World(base)
+    if after_wstm:   # the world is then 600 rounds ahead of the thefame match
+        run_match(base.with_protocol("wstm"), world=world)
+    sim = MatchSim(base, world)
+    radio, bits = base.radio, base.radio.packet_bits
+    packets = 0
+    for t in range(1, base.rounds + 1):
+        before = {p: len(d) for p, d in sim.metrics.debits.items()}
+        positions = [(k.x, k.y) for k in sim.kins]
+        sim.run_round()
+        events, xs, ys = world.history.get(t, ((), None, None))
+        origins = [ev.player_id for ev in events]
+        packets += len(origins)
+        for p, debits in sim.metrics.debits.items():
+            if p in origins:
+                d = nearest_sink_xy(xs[p], ys[p], sim.field)[1]
+                want = [direct_tx_energy(radio, bits, d)] * origins.count(p)
+            else:
+                want = []
+                assert (sim.kins[p].x, sim.kins[p].y) == positions[p]
+            assert debits[before[p]:] == want
+    assert packets > 200 and not sim.metrics.deaths

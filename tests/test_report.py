@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from pitchsim.engine import run_match
 from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
-from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary, ReportRow,
+from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary,
                              TIMESERIES_COLUMNS, UndefinedThroughputError,
                              build_rows, summarize, throughput_pct,
                              write_events, write_summary, write_timeseries)
@@ -54,16 +54,21 @@ def stress_result(rounds=400, seed=2):
     ))
 
 
+# a row is a plain tuple in header order
+SENT, DROPPED, RECEIVED, MEAN_DELAY = map(TIMESERIES_COLUMNS.index, (
+    "sent_cum", "dropped_cum", "received_cum", "mean_delay_s"))
+
+
 def test_rows_are_cumulative_and_consistent():
     result = stress_result()
-    rows = build_rows(result.metrics)
+    rows = list(build_rows(result.metrics))
     assert len(rows) == 400
     for a, b in zip(rows, rows[1:]):
-        assert b.sent_cum >= a.sent_cum
-        assert b.dropped_cum >= a.dropped_cum
-        assert b.received_cum >= a.received_cum
+        assert b[SENT] >= a[SENT]
+        assert b[DROPPED] >= a[DROPPED]
+        assert b[RECEIVED] >= a[RECEIVED]
     for row in rows:
-        assert row.received_cum + row.dropped_cum <= row.sent_cum
+        assert row[RECEIVED] + row[DROPPED] <= row[SENT]
 
 
 def read_back(path):
@@ -71,20 +76,20 @@ def read_back(path):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *cells = csv.reader(fh)
     assert header == TIMESERIES_COLUMNS
-    return [ReportRow(int(c[0]), int(c[1]), int(c[2]), int(c[3]), int(c[4]),
-                      float(c[5]), float(c[6]) if c[6] else None) for c in cells]
+    return [(int(c[0]), int(c[1]), int(c[2]), int(c[3]), int(c[4]),
+             float(c[5]), float(c[6]) if c[6] else None) for c in cells]
 
 
 def test_timeseries_roundtrip_exact(tmp_path):
     result = stress_result()
-    rows = build_rows(result.metrics)
+    rows = list(build_rows(result.metrics))
     path = str(tmp_path / "timeseries.csv")
     write_timeseries(rows, path)
     assert read_back(path) == rows
 
 
 def test_timeseries_byte_stable(tmp_path):
-    rows = build_rows(stress_result().metrics)
+    rows = list(build_rows(stress_result().metrics))
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_timeseries(rows, p1)
     write_timeseries(rows, p2)
@@ -93,8 +98,8 @@ def test_timeseries_byte_stable(tmp_path):
 
 def test_timeseries_blank_mean_delay_until_first_delivery(tmp_path):
     result = run_match(Scenario(rounds=50, seed=0))  # nothing triggers
-    rows = build_rows(result.metrics)
-    assert all(r.mean_delay_s is None for r in rows)
+    rows = list(build_rows(result.metrics))
+    assert all(r[MEAN_DELAY] is None for r in rows)
     path = str(tmp_path / "t.csv")
     write_timeseries(rows, path)
     lines = open(path).read().splitlines()
@@ -153,5 +158,5 @@ def test_summary_blank_throughput_when_nothing_sent(tmp_path):
 def test_mean_delay_none_handling():
     silent = run_match(Scenario(rounds=30, seed=0))
     assert summarize("thefame", [silent.metrics.totals()]).mean_delay_s is None
-    rows = build_rows(silent.metrics)
-    assert rows[-1].mean_delay_s is None
+    rows = list(build_rows(silent.metrics))
+    assert rows[-1][MEAN_DELAY] is None
