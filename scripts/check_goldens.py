@@ -7,10 +7,10 @@ This file is where each pinned run is recorded and computed: seed 0 of
 each workload in ``benchmarks/goldens.json`` (the benchmark's own
 workloads and digest rule, read from ``benchmarks/``), and the runs
 pinned by ``DEATH_RUN_DIGEST``, ``RECORDED_RUN_DIGEST``,
-``MOBILITY_RUN_DIGEST`` and ``POOLED_RUN_DIGEST`` below. It uses the
-standard library only, so any CPython that runs pitchsim can run it,
-with or without pytest. It prints one line per digest and exits 1 if
-any differs.
+``MOBILITY_RUN_DIGEST``, ``POOLED_RUN_DIGEST`` and ``STOPPED_RUN_DIGEST``
+below. It uses the standard library only, so any CPython that runs
+pitchsim can run it, with or without pytest. It prints one line per
+digest and exits 1 if any differs.
 ``tests/test_goldens.py`` runs the same ``checks()`` in-process.
 """
 
@@ -122,6 +122,19 @@ def pooled_run_digest(out_dir: Path) -> str:
                         "--seeds", "0..2", "--out", str(out)], out)
 
 
+# Recorded before padding rows were built positionally and before a compare
+# pair shared its events.csv: wstm on its preset, seed 0, loses every node
+# at round 180, so the run pads 5,220 all-dead rows, drops the events of
+# dead nodes, and prints delivered=18.
+STOPPED_RUN_DIGEST = "3b417766a5b302c088748481e0dc87e0f967f6712778f8f3ce3973d29e1bf3f8"
+
+
+def stopped_run_digest(out_dir: Path) -> str:
+    """Digest of ``run --scenario scenarios/wstm.cfg --seed 0``."""
+    return _cli_digest(["run", "--scenario", str(ROOT / "scenarios" / "wstm.cfg"),
+                        "--seed", "0", "--out", str(out_dir)], out_dir)
+
+
 def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
     """Every pinned run: (label, recorded digest, compute), where
     ``compute(out_dir)`` returns the run's digest, writing under the empty
@@ -132,7 +145,8 @@ def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
         ("DEATH_RUN_DIGEST", DEATH_RUN_DIGEST, death_run_digest),
         ("RECORDED_RUN_DIGEST", RECORDED_RUN_DIGEST, recorded_run_digest),
         ("MOBILITY_RUN_DIGEST", MOBILITY_RUN_DIGEST, mobility_run_digest),
-        ("POOLED_RUN_DIGEST", POOLED_RUN_DIGEST, pooled_run_digest)]
+        ("POOLED_RUN_DIGEST", POOLED_RUN_DIGEST, pooled_run_digest),
+        ("STOPPED_RUN_DIGEST", STOPPED_RUN_DIGEST, stopped_run_digest)]
 
 
 def main() -> int:

@@ -364,8 +364,7 @@ class MatchSim:
         if early_stop is not None:
             # keep the round axis comparable: pad the log with all-dead rows
             for t in range(early_stop + 1, self.scenario.rounds + 1):
-                self.metrics.rounds.append(RoundRecord(round=t, alive=0,
-                                                       residual_j=0.0))
+                self.metrics.rounds.append(RoundRecord(t, 0))
         return MatchResult(
             scenario=self.scenario,
             metrics=self.metrics,

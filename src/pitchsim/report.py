@@ -17,8 +17,8 @@ single-hop protocol the two coincide.
 CSV conventions are the csv module's, with LF line endings: RFC 4180
 quoting, ``.`` decimal separator, ``None`` as a blank cell and floats
 via ``repr``, so parsing a file back reproduces the values exactly.
-Rows go to the writer as they are, with no per-cell conversion;
-``build_rows`` streams one plain tuple per round straight into it.
+Each value's text is rendered once: ``build_rows`` streams float cells as
+``repr`` text, and a pair with the same event objects copies events.csv.
 Undefined ratios are ``None`` and so blank, never 0 or 100.
 """
 
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 from dataclasses import astuple, dataclass
+from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, RunTotals
@@ -57,16 +59,22 @@ def throughput_pct(received: int, transmitted: int) -> float:
 
 def build_rows(log: MetricsLog) -> Iterator[tuple]:
     """Cumulative per-round report rows from a metrics log, one tuple per
-    round in ``TIMESERIES_COLUMNS`` order."""
+    round in ``TIMESERIES_COLUMNS`` order. Float cells are ``repr`` text, made
+    for a residual that is a new object and for a mean delay whose totals
+    take a non-zero amount (adding zero to a sum from ``0.0`` keeps its bits)."""
     sent = dropped = received = 0
     delay_sum = 0.0
+    residual = residual_text = mean_text = None
     for rec in log.rounds:
         sent += rec.hop_sends
         dropped += rec.hop_drops
-        received += rec.received
-        delay_sum += rec.delay_sum
-        yield (rec.round, rec.alive, sent, dropped, received, rec.residual_j,
-               delay_sum / received if received else None)
+        if rec.received or rec.delay_sum:
+            received += rec.received
+            delay_sum += rec.delay_sum
+            mean_text = repr(delay_sum / received) if received else None
+        if rec.residual_j is not residual:
+            residual, residual_text = rec.residual_j, repr(rec.residual_j)
+        yield (rec.round, rec.alive, sent, dropped, received, residual_text, mean_text)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -166,13 +174,16 @@ def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
     return _emit_run_reports(result, result.metrics.totals(), out_dir)
 
 
-def _emit_run_reports(result: MatchResult, totals: RunTotals, out_dir: str) -> list[str]:
-    """``emit_run_reports`` with the run's ``totals`` already taken."""
+def _emit_run_reports(result: MatchResult, totals: RunTotals, out_dir: str,
+                      events_csv: Optional[str] = None) -> list[str]:
+    """``emit_run_reports`` with ``totals`` already taken; copies ``events_csv`` if given."""
     os.makedirs(out_dir, exist_ok=True)
+    events_path = os.path.join(out_dir, "events.csv")
     paths = [
         write_timeseries(build_rows(result.metrics),
                          os.path.join(out_dir, "timeseries.csv")),
-        write_events(result.events, os.path.join(out_dir, "events.csv")),
+        shutil.copyfile(events_csv, events_path) if events_csv
+        else write_events(result.events, events_path),
         write_summary([summarize(result.scenario.protocol, [totals])],
                       os.path.join(out_dir, "summary.csv")),
     ]
@@ -196,11 +207,16 @@ def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]
     paths = []
     kept: dict[str, list] = {}   # protocol -> [(seed, RunTotals)], in arrival order
     for seed, *results in pairs:
+        events_csv = None   # the pair's first; reused by identity, as == calls 0.0 and -0.0 equal
         for result in results:
             protocol = result.scenario.protocol
             sub = os.path.join(out_dir, f"{protocol}-seed{seed:03d}")
             totals = result.metrics.totals()
-            paths.extend(_emit_run_reports(result, totals, sub))
+            same = events_csv and len(results[0].events) == len(result.events) and all(
+                map(is_, results[0].events, result.events))
+            run_paths = _emit_run_reports(result, totals, sub, events_csv if same else None)
+            events_csv = events_csv or run_paths[1]
+            paths.extend(run_paths)
             kept.setdefault(protocol, []).append((seed, totals))
         # resuming ``pairs`` runs the next pair: hold nothing of this one
         del results, result

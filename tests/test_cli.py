@@ -97,6 +97,18 @@ def test_run_writes_reports_and_is_byte_deterministic(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+def test_run_prints_the_received_count_of_its_summary(tmp_path, capsys):
+    # wstm on its preset stops early, so its rounds are padded all-dead rows
+    preset = Path(__file__).resolve().parents[1] / "scenarios" / "wstm.cfg"
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(preset), "--seed", "0",
+                 "--out", str(out)]) == EXIT_OK
+    delivered = int(capsys.readouterr().out.split("delivered=")[1].split()[0])
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert delivered == int(row["received"]) == 18
+
+
 def test_run_seed_override_changes_output(tmp_path):
     scenario = write(tmp_path, FAST)
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")

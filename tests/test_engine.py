@@ -7,8 +7,8 @@ import pytest
 from pitchsim import engine
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
-from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, World,
-                             aggregate, run_match, simulate_mobility,
+from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, RoundRecord,
+                             World, aggregate, run_match, simulate_mobility,
                              stability_period)
 from pitchsim.geometry import nearest_sink_xy
 from pitchsim.mobility import MobilityParams
@@ -158,9 +158,15 @@ COUNTERS = ("hop_sends", "hop_drops", "origin_sends", "received",
     (small("wstm", rounds=400, initial_energy_j=1000.0), False),
 ], ids=["deaths", "no-deaths"])
 def test_totals_equal_per_round_sums(scenario, dies):
-    log = run_match(scenario).metrics
+    result = run_match(scenario)
+    log = result.metrics
     assert bool(log.deaths) == dies
     assert (log.rounds[-1].alive == 0) == dies
+    if dies:   # the padding is positional, and equal to the all-dead row
+        stop = result.early_stop_round
+        assert stop < scenario.rounds
+        assert log.rounds[stop:] == [RoundRecord(t, 0)
+                                     for t in range(stop + 1, scenario.rounds + 1)]
     totals = log.totals()
     for name in COUNTERS:
         expected = 0   # added in round order, the order totals() documents

@@ -2,14 +2,16 @@ import csv
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pitchsim.engine import run_match
+from pitchsim import report
+from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, run_match
 from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
 from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary,
                              TIMESERIES_COLUMNS, UndefinedThroughputError,
-                             build_rows, summarize, throughput_pct,
-                             write_events, write_summary, write_timeseries)
+                             build_rows, emit_comparison_reports, summarize,
+                             throughput_pct, write_events, write_summary,
+                             write_timeseries)
 from pitchsim.scenario import Scenario
 
 
@@ -71,6 +73,63 @@ def test_rows_are_cumulative_and_consistent():
         assert row[RECEIVED] + row[DROPPED] <= row[SENT]
 
 
+def reference_rows(log):
+    """The timeseries rows with float cells as floats, each computed for
+    its own round: the values the csv module renders with ``repr``."""
+    sent = dropped = received = 0
+    delay_sum = 0.0
+    for rec in log.rounds:
+        sent += rec.hop_sends
+        dropped += rec.hop_drops
+        received += rec.received
+        delay_sum += rec.delay_sum
+        yield (rec.round, rec.alive, sent, dropped, received, rec.residual_j,
+               delay_sum / received if received else None)
+
+
+def reference_bytes(log, path):
+    """The reference rows written through ``csv`` as the report writes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(TIMESERIES_COLUMNS)
+        out.writerows(reference_rows(log))
+    return path.read_bytes()
+
+
+ZERO, NEG_ZERO = 0.0, -0.0
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def metrics_logs(draw):
+    """Logs whose residuals repeat as one object, as equal but distinct
+    objects and as 0.0/-0.0, with rounds that add a delay but no packet."""
+    rounds, residual = [], draw(finite_or_not)
+    for t in range(1, draw(st.integers(1, 40)) + 1):
+        kind = draw(st.sampled_from(["same", "copy", "zero", "neg-zero", "new"]))
+        if kind == "copy":
+            residual = float(repr(residual))   # equal, but another object
+        elif kind == "zero" or kind == "neg-zero":
+            residual = ZERO if kind == "zero" else NEG_ZERO
+        elif kind == "new":
+            residual = draw(finite_or_not)
+        rounds.append(RoundRecord(
+            t, draw(st.integers(0, 22)),
+            hop_sends=draw(st.integers(0, 5)), hop_drops=draw(st.integers(0, 5)),
+            received=draw(st.integers(0, 3)), residual_j=residual,
+            delay_sum=draw(st.sampled_from([0.0, -0.0, 0.5]) | finite_or_not)))
+    return MetricsLog(initial_energy_j=1.0, rounds=rounds)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(metrics_logs())
+def test_timeseries_text_cells_give_the_float_rows_bytes(tmp_path_factory, log):
+    tmp = tmp_path_factory.mktemp("ts")
+    path = tmp / "timeseries.csv"
+    write_timeseries(build_rows(log), str(path))
+    assert path.read_bytes() == reference_bytes(log, tmp / "reference.csv")
+
+
 def read_back(path):
     """Parse an emitted timeseries with the csv module."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -85,7 +144,7 @@ def test_timeseries_roundtrip_exact(tmp_path):
     rows = list(build_rows(result.metrics))
     path = str(tmp_path / "timeseries.csv")
     write_timeseries(rows, path)
-    assert read_back(path) == rows
+    assert read_back(path) == list(reference_rows(result.metrics))
 
 
 def test_timeseries_byte_stable(tmp_path):
@@ -104,7 +163,7 @@ def test_timeseries_blank_mean_delay_until_first_delivery(tmp_path):
     write_timeseries(rows, path)
     lines = open(path).read().splitlines()
     assert lines[1].endswith(",")  # blank cell, not 0
-    assert read_back(path) == rows
+    assert read_back(path) == list(reference_rows(result.metrics))
 
 
 def test_events_csv_units(tmp_path):
@@ -116,6 +175,63 @@ def test_events_csv_units(tmp_path):
     assert lines[0] == "player_id,time_s,cause,value,value_mgdl"
     assert lines[1].split(",") == ["3", "100.0", "lactate", "2.2", repr(2.2 * 9.0)]
     assert lines[2].split(",") == ["4", "200.0", "distance", "11.0", ""]
+
+
+def one_round_result(protocol, events):
+    return MatchResult(scenario=Scenario(protocol=protocol),
+                       metrics=MetricsLog(1.0, [RoundRecord(1, 22, residual_j=1.0)]),
+                       feed=[], events=events)
+
+
+def events_csvs(tmp_path, fame_events, wstm_events, monkeypatch):
+    """Both events.csv files of a one-seed comparison, and how many of
+    them ``write_events`` rendered."""
+    rendered = []
+
+    def counted(events, path):
+        rendered.append(path)
+        return write_events(events, path)
+
+    monkeypatch.setattr(report, "write_events", counted)
+    out = tmp_path / "cmp"
+    paths = emit_comparison_reports(
+        [(0, one_round_result("thefame", fame_events),
+          one_round_result("wstm", wstm_events))], str(out))
+    files = [out / f"{p}-seed000" / "events.csv" for p in ("thefame", "wstm")]
+    assert all(str(f) in paths for f in files)
+    return [f.read_bytes() for f in files], len(rendered)
+
+
+LACTATE = FatigueEvent(3, 100.0, FatigueCause.LACTATE, 0.0)
+DISTANCE = FatigueEvent(4, 200.0, FatigueCause.DISTANCE, 11.0)
+EQUAL_LACTATE = dataclasses.replace(LACTATE, value=-0.0)
+
+
+def test_pair_with_the_same_event_objects_renders_events_once(tmp_path, monkeypatch):
+    events = [LACTATE, DISTANCE]
+    (fame, wstm), rendered = events_csvs(tmp_path, events, list(events), monkeypatch)
+    assert rendered == 1
+    write_events(events, str(tmp_path / "alone.csv"))
+    assert fame == wstm == (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.mark.parametrize("wstm_events", [
+    [EQUAL_LACTATE, DISTANCE],                              # == but not the same objects
+    [LACTATE],                                              # a prefix
+    [LACTATE, DISTANCE, LACTATE],                           # longer
+    [],
+], ids=["equal-not-identical", "prefix", "longer", "empty"])
+def test_pair_with_other_event_objects_renders_each_file(tmp_path, monkeypatch,
+                                                         wstm_events):
+    assert EQUAL_LACTATE == LACTATE   # frozen-dataclass ==: 0.0 == -0.0
+    fame_events = [LACTATE, DISTANCE]
+    (fame, wstm), rendered = events_csvs(tmp_path, fame_events, wstm_events, monkeypatch)
+    assert rendered == 2
+    for got, events in ((fame, fame_events), (wstm, wstm_events)):
+        path = tmp_path / "alone.csv"
+        write_events(events, str(path))
+        assert got == path.read_bytes()
+    assert fame != wstm
 
 
 def test_summary_shape_two_rows_plus_delta(tmp_path):
