@@ -122,10 +122,10 @@ def pooled_run_digest(out_dir: Path) -> str:
                         "--seeds", "0..2", "--out", str(out)], out)
 
 
-# Recorded before padding rows were built positionally and before a compare
-# pair shared its events.csv: wstm on its preset, seed 0, loses every node
-# at round 180, so the run pads 5,220 all-dead rows, drops the events of
-# dead nodes, and prints delivered=18.
+# Recorded before padding rows were built positionally and before the run
+# took its totals once: wstm on its preset, seed 0, loses its last node at
+# round 180, so the run pads 5,220 all-dead rows and prints delivered=18.
+# No fatigue event falls in those 180 rounds, so its events.csv is a header.
 STOPPED_RUN_DIGEST = "3b417766a5b302c088748481e0dc87e0f967f6712778f8f3ce3973d29e1bf3f8"
 
 
