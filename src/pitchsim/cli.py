@@ -16,7 +16,7 @@ import sys
 
 from .engine import World, run_match
 from .protocol import THEFAME, WSTM
-from .report import _emit_run_reports, emit_comparison_reports
+from .report import emit_comparison_reports, emit_run_reports
 from .scenario import Scenario, ScenarioError, check_report_bounds, parse_scenario
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def _cmd_run(args) -> int:
                   record_lactate=args.dump_lactate)
     result = run_match(scenario, world=world)
     totals = result.metrics.totals()
-    paths = _emit_run_reports(result, totals, args.out or _default_out())
+    paths = emit_run_reports(result, args.out or _default_out(), totals)
     last = result.metrics.rounds[-1]
     print(f"{scenario.protocol} seed={scenario.seed}: "
           f"{len(result.metrics.rounds)} rounds, alive={last.alive}, "

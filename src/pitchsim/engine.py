@@ -37,20 +37,19 @@ stopped early, once all its nodes died). A world keeps only what a
 replay reads: each round's fatigue events, and one position snapshot
 per round on which a packet can originate (a round with an event, or a
 multiple of ``wstm_period_s``): two ``array('d')``s, ``xs`` and ``ys``,
-by player id. Every match routes over its own copies of the kinematics
-and loads into them only what its router reads: the origins' positions
-under thefame, every player's under wstm. Recording is the world's too:
+by player id. A match routes on these snapshots as they are: its
+routers read player ids and the two axes. Recording is the world's too:
 a match returns the trajectory and lactate trace of the world it ran on,
 which records them only when built with ``record_trajectory`` or
 ``record_lactate``.
 
-``MatchSim.alive`` holds the alive players' kinematics in player-id
-order. It starts with every player and loses a player inside the debit
-that kills its node, so a node that dies mid-round is out of every
-later route of that round. The trigger, the wstm router and
-``alive_count`` read this list instead of rescanning the batteries. The
-first wstm packet routed on a snapshot builds a ``NextHops`` over it and
-this list; loading a snapshot, or a death in ``_debit``, drops the table.
+``MatchSim.alive`` holds the alive players' ids in order. It starts
+with every player and loses an id inside the debit that kills its node,
+so a node that dies mid-round is out of every later route of that
+round. The trigger, the wstm router and ``alive_count`` read this list
+instead of rescanning the batteries. The first wstm packet routed on a
+snapshot builds a ``NextHops`` over it and this list; the next sending
+round, or a death in ``_debit``, drops the table.
 
 ``move_players`` is the one movement loop, and ``World.advance`` its
 one caller. ``simulate_mobility`` plays a world with no match on it, for
@@ -238,24 +237,21 @@ class MatchSim:
         self.field = scenario.build_field()
         self.chan_rng = stream(scenario.seed, "channel")
         self.relay_rx_j = relay_rx_energy(scenario.radio, scenario.radio.packet_bits)
-        # indexed by player id; routes read these kinematics, loaded from the
-        # world's snapshots (the world's own may be rounds ahead)
-        self.kins = [PlayerKinematics(k.player_id, 0.0, 0.0, 0.0, 0.0)
-                     for k in world.kins]
-        self.batteries = [Battery(scenario.initial_energy_j) for _ in self.kins]
+        players = range(scenario.players)   # player ids
+        self.batteries = [Battery(scenario.initial_energy_j) for _ in players]
         self.metrics = MetricsLog(
             initial_energy_j=scenario.initial_energy_j,
-            debits={k.player_id: [] for k in self.kins},
+            debits={pid: [] for pid in players},
         )
-        # kinematics of the alive players in player-id order; _debit drops a
-        # node the moment a debit kills it
-        self.alive = list(self.kins)
+        # ids of the alive players in order; _debit drops a node the moment
+        # a debit kills it
+        self.alive = list(players)
         self.events: list[FatigueEvent] = []
         self.feed: list[Delivery] = []
         self._ids = itertools.count(1)
         self._round = 0
         self._residual: float | None = None   # residual_total(); _debit clears it
-        self._hops: NextHops | None = None    # wstm steps of the loaded snapshot
+        self._hops: NextHops | None = None    # wstm steps of this round's snapshot
 
     def alive_count(self) -> int:
         return len(self.alive)
@@ -291,32 +287,26 @@ class MatchSim:
                                         self.alive)
         rec.triggered = len(origins)
         if origins:
-            _, xs, ys = kept
-            if self.scenario.protocol == THEFAME:   # a single hop reads its origin
-                for origin in origins:
-                    kin = self.kins[origin]
-                    kin.x, kin.y = xs[origin], ys[origin]
-            else:
-                for kin, x, y in zip(self.kins, xs, ys):
-                    kin.x, kin.y = x, y
-                self._hops = None
-        for origin in origins:
-            self._send(next(self._ids), origin, rec)
+            _, xs, ys = kept   # the world's own positions may be rounds ahead
+            self._hops = None
+            for origin in origins:
+                self._send(next(self._ids), origin, xs, ys, rec)
 
         rec.alive = self.alive_count()
         rec.residual_j = self.residual_total()
         self.metrics.rounds.append(rec)
         return rec
 
-    def _send(self, packet_id: int, origin: int, rec: RoundRecord) -> None:
+    def _send(self, packet_id: int, origin: int, xs: array, ys: array,
+              rec: RoundRecord) -> None:
         if self.batteries[origin].dead:   # died relaying earlier traffic this round
             route = None
         elif self.scenario.protocol == THEFAME:
-            route = thefame_route(self.kins[origin], self.field)
+            route = thefame_route(origin, xs, ys, self.field)
         else:
             if self._hops is None:
-                self._hops = NextHops(self.alive, self.field)
-            route = wstm_route(self.kins[origin], self._hops, self.scenario.max_hops)
+                self._hops = NextHops(self.alive, xs, ys, self.field)
+            route = wstm_route(origin, self._hops, self.scenario.max_hops)
         if route is not None:
             radio, channel, chan_rng = self.scenario.radio, self.scenario.channel, self.chan_rng
             bits, t = radio.packet_bits, rec.round
@@ -349,7 +339,7 @@ class MatchSim:
         self._residual = None
         if battery.dead:
             self.metrics.deaths.append((player_id, t))
-            self.alive.remove(self.kins[player_id])
+            self.alive.remove(player_id)
             self._hops = None
             return True
         return False

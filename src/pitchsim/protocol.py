@@ -16,6 +16,9 @@ and ``Route`` are value records (NamedTuples). Only the routing rules
 here and ``scenario.check_report_bounds`` build routes, so a route's
 hops join up by construction; the tests check it.
 
+Both rules read only positions: routers take player ids and a world
+snapshot's two axes, ``xs`` and ``ys``, indexed by player id.
+
 The protocol name (``Scenario.protocol``) is the whole protocol
 identity: it fixes the trigger, the sink preset and the routing rule.
 A trigger returns only packet origins; the engine numbers the packets.
@@ -23,11 +26,11 @@ A trigger returns only packet origins; the engine numbers the packets.
 
 from __future__ import annotations
 
+from array import array
 from math import hypot, inf
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import FieldConfig, nearest_sink_xy
-from .mobility import PlayerKinematics
 from .physiology import FatigueEvent
 
 THEFAME = "thefame"
@@ -52,41 +55,44 @@ class Route(NamedTuple):
         return len(self.hops)
 
 
-def thefame_route(player: PlayerKinematics, field: FieldConfig) -> Route:
-    """Single hop from the player to its nearest sink."""
-    sid, d, _ = nearest_sink_xy(player.x, player.y, field)
-    return Route((Hop(player.player_id, None, sid, d),))
+def thefame_route(origin: int, xs: array, ys: array, field: FieldConfig) -> Route:
+    """Single hop from the origin to its nearest sink."""
+    sid, d, _ = nearest_sink_xy(xs[origin], ys[origin], field)
+    return Route((Hop(origin, None, sid, d),))
 
 
 class NextHops:
     """The greedy steps of one snapshot over its alive players, each
-    computed on first use by ``wstm_route`` and kept: ``(hop, relay)``,
+    computed on first use by ``wstm_route`` and kept: ``(hop, relay id)``,
     with relay None on a sink hop, or None at a dead end."""
 
-    def __init__(self, players: Sequence[PlayerKinematics], field: FieldConfig):
-        self.players = players          # alive only, the origins included
+    def __init__(self, alive: Sequence[int], xs: array, ys: array, field: FieldConfig):
+        self.alive = alive              # ids, the origins included
+        # plain lists: each read of an array('d') boxes a new float
+        self.xs, self.ys = xs.tolist(), ys.tolist()
         self.field = field
-        self.steps: dict[int, Optional[tuple[Hop, Optional[PlayerKinematics]]]] = {}
-        self.nearest: dict[int, tuple[float, int, PlayerKinematics]] = {}  # by sink id
+        self.steps: dict[int, Optional[tuple[Hop, Optional[int]]]] = {}
+        self.nearest: dict[int, tuple[float, int]] = {}   # by sink id
 
-    def step(self, holder: PlayerKinematics) -> Optional[tuple[Hop, Optional[PlayerKinematics]]]:
-        hid, hx, hy = holder.player_id, holder.x, holder.y
+    def step(self, hid: int) -> Optional[tuple[Hop, Optional[int]]]:
+        xs, ys = self.xs, self.ys
+        hx, hy = xs[hid], ys[hid]
         sid, d_sink, sink = nearest_sink_xy(hx, hy, self.field)
-        for q in self.players:
-            if hypot(hx - q.x, hy - q.y) < d_sink and q.player_id != hid:
+        for q in self.alive:
+            if hypot(hx - xs[q], hy - ys[q]) < d_sink and q != hid:
                 if sid in self.nearest:
-                    best_d, best_id, best = self.nearest[sid]
+                    best_d, best = self.nearest[sid]
                 else:
                     # ties to the lowest id, whatever the list order
                     sx, sy = sink.x, sink.y
-                    best_d = best_id = inf
-                    for p in self.players:
-                        d = hypot(p.x - sx, p.y - sy)
-                        if d < best_d or d == best_d and p.player_id < best_id:
-                            best_d, best_id, best = d, p.player_id, p
-                    self.nearest[sid] = best_d, best_id, best
+                    best_d = best = inf
+                    for p in self.alive:
+                        d = hypot(xs[p] - sx, ys[p] - sy)
+                        if d < best_d or d == best_d and p < best:
+                            best_d, best = d, p
+                    self.nearest[sid] = best_d, best
                 step = None if best_d >= d_sink else (
-                    Hop(hid, best_id, None, hypot(hx - best.x, hy - best.y)), best)
+                    Hop(hid, best, None, hypot(hx - xs[best], hy - ys[best])), best)
                 break
         else:
             step = (Hop(hid, None, sid, d_sink), None)
@@ -94,15 +100,13 @@ class NextHops:
         return step
 
 
-def wstm_route(player: PlayerKinematics, table: NextHops,
-               max_hops: int) -> Optional[Route]:
+def wstm_route(origin: int, table: NextHops, max_hops: int) -> Optional[Route]:
     """Greedy geographic forwarding toward the holder's nearest sink, one
     step of ``table`` per hop. Returns None when the greedy rule dead-ends
     or the hop budget runs out."""
-    steps, hops, holder = table.steps, [], player
+    steps, hops, holder = table.steps, [], origin
     while len(hops) < max_hops:
-        hid = holder.player_id
-        step = steps[hid] if hid in steps else table.step(holder)
+        step = steps[holder] if holder in steps else table.step(holder)
         if step is None:
             return None
         hop, holder = step
@@ -114,7 +118,7 @@ def wstm_route(player: PlayerKinematics, table: NextHops,
 
 def trigger_transmissions(protocol: str, period_s: int, t: int,
                           fatigue_events: Iterable[FatigueEvent],
-                          alive_players: Sequence[PlayerKinematics]) -> list[int]:
+                          alive: Sequence[int]) -> list[int]:
     """Origins of the packets triggered this round, in sending order: one
     per fatigue event under thefame, one per alive player every
     ``period_s`` rounds under wstm."""
@@ -122,4 +126,4 @@ def trigger_transmissions(protocol: str, period_s: int, t: int,
         return [ev.player_id for ev in fatigue_events]
     if t % period_s != 0:
         return []
-    return [k.player_id for k in alive_players]
+    return list(alive)

@@ -169,14 +169,11 @@ def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
         (seed, s.protocol, *astuple(s)[2:]) for seed, s in rows))
 
 
-def emit_run_reports(result: MatchResult, out_dir: str) -> list[str]:
-    """Write timeseries, events, and a one-row summary for a single run."""
-    return _emit_run_reports(result, result.metrics.totals(), out_dir)
-
-
-def _emit_run_reports(result: MatchResult, totals: RunTotals, out_dir: str,
-                      events_csv: Optional[str] = None) -> list[str]:
-    """``emit_run_reports`` with ``totals`` already taken; copies ``events_csv`` if given."""
+def emit_run_reports(result: MatchResult, out_dir: str, totals: Optional[RunTotals] = None,
+                     events_csv: Optional[str] = None) -> list[str]:
+    """Write timeseries, events, and a one-row summary for a single run.
+    ``totals`` is the run's tally when already taken; events.csv is a copy
+    of ``events_csv`` when given."""
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.csv")
     paths = [
@@ -184,7 +181,8 @@ def _emit_run_reports(result: MatchResult, totals: RunTotals, out_dir: str,
                          os.path.join(out_dir, "timeseries.csv")),
         shutil.copyfile(events_csv, events_path) if events_csv
         else write_events(result.events, events_path),
-        write_summary([summarize(result.scenario.protocol, [totals])],
+        write_summary([summarize(result.scenario.protocol,
+                                 [totals or result.metrics.totals()])],
                       os.path.join(out_dir, "summary.csv")),
     ]
     if result.trajectory:
@@ -214,7 +212,7 @@ def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]
             totals = result.metrics.totals()
             same = events_csv and len(results[0].events) == len(result.events) and all(
                 map(is_, results[0].events, result.events))
-            run_paths = _emit_run_reports(result, totals, sub, events_csv if same else None)
+            run_paths = emit_run_reports(result, sub, totals, events_csv if same else None)
             events_csv = events_csv or run_paths[1]
             paths.extend(run_paths)
             kept.setdefault(protocol, []).append((seed, totals))

@@ -13,11 +13,13 @@ The assert is kept faithful to the stated target rather than loosened.
 import statistics
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitchsim.channel import ChannelParams, transmit_hop
-from pitchsim.cli import main as cli_main
+from pitchsim.cli import _paired_runs, main as cli_main
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy, \
     multihop_rx_energy, multihop_total_energy, multihop_tx_energy
 from pitchsim.engine import run_match, simulate_mobility, stability_period
@@ -28,8 +30,8 @@ from pitchsim.report import summarize, throughput_pct
 from pitchsim.scenario import Scenario
 from pitchsim.seeding import stream
 
-from test_protocol import _oracle_greedy, player
-from pitchsim.protocol import NextHops, wstm_route
+from test_protocol import _oracle_greedy, player, table
+from pitchsim.protocol import wstm_route
 
 PAIR_SEEDS = range(10)
 
@@ -223,26 +225,64 @@ def test_criterion_4e_delivery_gap(paired_runs):
 
 # --- 5. conservation ------------------------------------------------
 
+def assert_conserved(result):
+    """Criterion 5 on one match result."""
+    m = result.metrics
+    for rec in m.rounds:
+        # every hop send resolves; every packet resolves
+        assert rec.received + rec.hop_drops + rec.routing_failures \
+            == rec.triggered, rec
+        assert rec.hop_drops <= rec.hop_sends
+    # replaying each node's debit log reproduces its residual exactly
+    total = 0.0
+    for pid, debits in m.debits.items():
+        b = Battery(m.initial_energy_j)
+        for amount in debits:
+            assert not b.dead
+            b.debit(amount)
+        assert b.residual == b.initial - b.consumed
+        total += b.residual
+    assert total == m.rounds[-1].residual_j
+
+
 def test_criterion_5_conservation(paired_runs):
     with criterion("5 packet and energy conservation"):
         fame, wstm = paired_runs
         for result in fame + wstm:
-            m = result.metrics
-            for rec in m.rounds:
-                # every hop send resolves; every packet resolves
-                assert rec.received + rec.hop_drops + rec.routing_failures \
-                    == rec.triggered, rec
-                assert rec.hop_drops <= rec.hop_sends
-            # replaying each node's debit log reproduces its residual exactly
-            total = 0.0
-            for pid, debits in m.debits.items():
-                b = Battery(m.initial_energy_j)
-                for amount in debits:
-                    assert not b.dead
-                    b.debit(amount)
-                assert b.residual == b.initial - b.consumed
-                total += b.residual
-            assert total == m.rounds[-1].residual_j
+            assert_conserved(result)
+
+
+def test_criterion_5_conservation_over_the_scenario_space():
+    # 0.002 J lets a relay's receive kill it mid-round, 1000 J lets no
+    # node die; the high-rate trigger gives thefame packets within 200 rounds
+    seen = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(players=st.integers(1, 22), rounds=st.integers(1, 200),
+           energy=st.sampled_from([0.002, 0.025, 1000.0]),
+           drop=st.sampled_from([0.0, 0.3, 1.0]), max_hops=st.integers(1, 10),
+           high_rate=st.booleans(), seed=st.integers(0, 1000))
+    def check(players, rounds, energy, drop, max_hops, high_rate, seed):
+        base = high_rate_scenario(seed) if high_rate else Scenario(seed=seed)
+        base = replace(base, players=players, rounds=rounds, initial_energy_j=energy,
+                       channel=ChannelParams(drop_probability=drop), max_hops=max_hops)
+        fame, wstm = base.with_protocol("thefame"), base.with_protocol("wstm")
+        private = {s.protocol: run_match(s) for s in (fame, wstm)}
+        # through the path compare runs, then with wstm first on the world
+        for result in (*_paired_runs(fame, wstm), *_paired_runs(wstm, fame)):
+            assert_conserved(result)
+            assert result == private[result.scenario.protocol]
+            t = result.metrics.totals()
+            seen.update(
+                f"{result.scenario.protocol} {what}" for what, happened in (
+                    ("sends", t.origin_sends), ("drops", t.hop_drops),
+                    ("dies", result.metrics.deaths), ("fails", t.routing_failures),
+                    ("stops early", result.early_stop_round)) if happened)
+
+    check()
+    # the draws reach every outcome that the identities must survive
+    assert seen >= {"thefame sends", "thefame drops", "thefame dies", "wstm sends",
+                    "wstm drops", "wstm dies", "wstm fails", "wstm stops early"}
 
 
 # --- 6. determinism ------------------------------------------------
@@ -273,7 +313,7 @@ def test_criterion_7_greedy_oracle():
                        for i in range(n)]
             max_hops = rng.randint(1, 6)
             origin = players[rng.randrange(n)]
-            got = wstm_route(origin, NextHops(players, field), max_hops)
+            got = wstm_route(origin.player_id, table(players, field), max_hops)
             want = _oracle_greedy(origin, players, field, max_hops)
             if want is None:
                 assert got is None

@@ -14,7 +14,7 @@ from pitchsim.geometry import nearest_sink_xy
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario, parse_scenario
-from test_protocol import _bits, _per_call_wstm_route
+from test_protocol import Player, _bits, _per_call_wstm_route
 
 
 def small(protocol="thefame", **kwargs):
@@ -78,10 +78,9 @@ def test_single_event_debits_exactly_one_battery_by_direct_tx_amount():
     assert set(debited) == fired
     radio = scenario.radio
     field = sim.field
+    _, xs, ys = sim.world.history[rec.round]  # routing read this round's snapshot
     for pid in fired:
-        kin = sim.kins[pid]  # routing ran after this round's movement
-        from pitchsim.geometry import nearest_sink_xy
-        _, dist, _ = nearest_sink_xy(kin.x, kin.y, field)
+        _, dist, _ = nearest_sink_xy(xs[pid], ys[pid], field)
         expected = direct_tx_energy(radio, radio.packet_bits, dist)
         assert debited[pid] == [expected]
 
@@ -257,7 +256,7 @@ def test_simulate_mobility_ends_where_the_match_does():
     assert not result.metrics.deaths
     last = {pid: (x, y) for pid, t, x, y, _ in result.trajectory
             if t == scenario.rounds}
-    # the world moves the players; a node's kin only holds routing positions
+    # the world moves the players; the match routes on its snapshots
     match_end = [(*last[k.player_id], k.cumulative_km) for k in sim.world.kins]
     alone = simulate_mobility(scenario)
     assert [(k.x, k.y, k.cumulative_km) for k in alone.players] == match_end
@@ -285,10 +284,10 @@ def test_alive_list_equals_a_fresh_recount_every_round():
         rec = sim.run_round()
         if len(sim.metrics.deaths) > before:
             died_in.add(rec.round)
-        recount = [k for k, b in zip(sim.kins, sim.batteries) if not b.dead]
+        recount = [pid for pid, b in enumerate(sim.batteries) if not b.dead]
         assert sim.alive_count() == len(recount)
         assert len(sim.alive) == len(recount)
-        assert all(a is b for a, b in zip(sim.alive, recount))
+        assert sim.alive == recount
     assert min(died_in) == 10
     assert sim.alive == []
 
@@ -300,16 +299,17 @@ def test_debit_reports_each_death_it_causes():
 
     def watched(player_id, amount, t):
         died = debit(player_id, amount, t)
-        assert died == (sim.kins[player_id] not in sim.alive)
+        assert died == (player_id not in sim.alive)
         if died:
             killed.append((player_id, t))
         return died
 
     sim._debit = watched
-    while sim.run_round().alive:
-        pass
+    for _ in range(sim.scenario.rounds):   # bounded: a broken engine may never kill all
+        if not sim.run_round().alive:
+            break
     assert killed == sim.metrics.deaths
-    assert len(killed) == len(sim.kins)
+    assert len(killed) == len(sim.batteries)
 
 
 @pytest.mark.parametrize("energy_j", [0.025, 0.002])
@@ -331,13 +331,16 @@ def test_wstm_routes_equal_a_fresh_route_over_the_alive_set(energy_j, monkeypatc
         pending[:] = origins
         return origins
 
-    def checked(player, table, max_hops):
+    def checked(origin, table, max_hops):
         nonlocal calls_after_a_death
         skip_dead_origins()
-        assert pending.pop(0) == player.player_id
+        assert pending.pop(0) == origin
         calls_after_a_death += len(sim.metrics.deaths) > deaths_before_round
-        want = _per_call_wstm_route(player, list(sim.alive), sim.field, max_hops)
-        got = route(player, table, max_hops)
+        _, xs, ys = sim.world.history[sim._round]
+        alive = [Player(pid, xs[pid], ys[pid]) for pid in sim.alive]
+        want = _per_call_wstm_route(Player(origin, xs[origin], ys[origin]), alive,
+                                    sim.field, max_hops)
+        got = route(origin, table, max_hops)
         assert _bits(got) == _bits(want)
         return got
 
@@ -457,7 +460,7 @@ def test_snapshots_are_the_recorded_positions():
 
 
 @pytest.mark.parametrize("after_wstm", [False, True])
-def test_thefame_loads_and_debits_only_its_origins(after_wstm):
+def test_thefame_debits_only_its_origins(after_wstm):
     base = _shared_world_cases()["high-rate"]
     world = World(base)
     if after_wstm:   # the world is then 600 rounds ahead of the thefame match
@@ -467,7 +470,6 @@ def test_thefame_loads_and_debits_only_its_origins(after_wstm):
     packets = 0
     for t in range(1, base.rounds + 1):
         before = {p: len(d) for p, d in sim.metrics.debits.items()}
-        positions = [(k.x, k.y) for k in sim.kins]
         sim.run_round()
         events, xs, ys = world.history.get(t, ((), None, None))
         origins = [ev.player_id for ev in events]
@@ -478,6 +480,5 @@ def test_thefame_loads_and_debits_only_its_origins(after_wstm):
                 want = [direct_tx_energy(radio, bits, d)] * origins.count(p)
             else:
                 want = []
-                assert (sim.kins[p].x, sim.kins[p].y) == positions[p]
             assert debits[before[p]:] == want
     assert packets > 200 and not sim.metrics.deaths

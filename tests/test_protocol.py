@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 import struct
+from array import array
+from typing import NamedTuple
 
 import pytest
 
 from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point, distance,
                                nearest_sink_xy)
-from pitchsim.mobility import PlayerKinematics
 from pitchsim.physiology import FatigueCause, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, NextHops, Route,
                                thefame_route, trigger_transmissions, wstm_route)
@@ -16,8 +17,35 @@ SIX = FieldConfig.six_sinks()
 TWO = FieldConfig.goal_sinks()
 
 
+class Player(NamedTuple):
+    """A player's position: what the oracles read and snapshots are built from."""
+    player_id: int
+    x: float
+    y: float
+
+
 def player(pid, x, y):
-    return PlayerKinematics(pid, float(x), float(y), 0.0, 0.0)
+    return Player(pid, float(x), float(y))
+
+
+def snapshot(players):
+    """``players`` as the routers read them: their ids in list order, and
+    two ``array('d')`` axes indexed by player id (NaN at unused ids)."""
+    xs = array("d", [math.nan]) * (1 + max(p.player_id for p in players))
+    ys = array("d", xs)
+    for p in players:
+        xs[p.player_id], ys[p.player_id] = p.x, p.y
+    return [p.player_id for p in players], xs, ys
+
+
+def table(players, field):
+    """A next-hop table over ``players``, all of them alive."""
+    return NextHops(*snapshot(players), field)
+
+
+def fame_route(p, field):
+    _, xs, ys = snapshot([p])
+    return thefame_route(p.player_id, xs, ys, field)
 
 
 def assert_joined_up(route, origin):
@@ -31,7 +59,7 @@ def assert_joined_up(route, origin):
 
 
 def test_thefame_route_is_single_hop_to_nearest():
-    r = thefame_route(player(3, 1, 34), SIX)
+    r = fame_route(player(3, 1, 34), SIX)
     assert r.n_hops == 1
     assert r.hops[-1].dst_sink == 1
     assert r.hops[0].dist == 1.0
@@ -40,13 +68,13 @@ def test_thefame_route_is_single_hop_to_nearest():
 def test_routes_reject_an_empty_sink_set():
     lone = player(0, 1, 1)
     with pytest.raises(EmptySinkSetError):
-        thefame_route(lone, FieldConfig(106, 68, ()))
+        fame_route(lone, FieldConfig(106, 68, ()))
     with pytest.raises(EmptySinkSetError):
-        wstm_route(lone, NextHops([lone], FieldConfig(106, 68, ())), max_hops=10)
+        wstm_route(0, table([lone], FieldConfig(106, 68, ())), max_hops=10)
 
 
 def test_thefame_route_coincident_sink():
-    r = thefame_route(player(0, 0, 34), SIX)
+    r = fame_route(player(0, 0, 34), SIX)
     assert r.n_hops == 1 and r.hops[0].dist == 0.0
 
 
@@ -54,7 +82,7 @@ def test_thefame_always_one_hop():
     rng = random.Random(8)
     for _ in range(200):
         p = player(0, rng.uniform(0, 106), rng.uniform(0, 68))
-        r = thefame_route(p, SIX)
+        r = fame_route(p, SIX)
         assert_joined_up(r, p)
         assert r.n_hops == 1
 
@@ -62,7 +90,7 @@ def test_thefame_always_one_hop():
 def test_wstm_goalkeeper_sends_direct():
     gk = player(0, 5, 34)       # 5 yards from the left goal sink
     mate = player(1, 30, 34)    # every other player farther than the sink
-    r = wstm_route(gk, NextHops([gk, mate], TWO), max_hops=10)
+    r = wstm_route(0, table([gk, mate], TWO), max_hops=10)
     assert r is not None
     assert r.n_hops == 1 and r.hops[-1].dst_sink == 1
 
@@ -70,7 +98,7 @@ def test_wstm_goalkeeper_sends_direct():
 def test_wstm_relay_between_holder_and_sink():
     holder = player(0, 40, 34)
     relay = player(1, 20, 34)   # exactly between holder and sink 1
-    r = wstm_route(holder, NextHops([holder, relay], TWO), max_hops=10)
+    r = wstm_route(0, table([holder, relay], TWO), max_hops=10)
     assert r is not None
     assert [h.dst_player or -1 for h in r.hops] == [1, -1]
     assert r.n_hops == 2
@@ -79,7 +107,7 @@ def test_wstm_relay_between_holder_and_sink():
 
 def test_wstm_degenerates_to_direct_with_no_other_players():
     lone = player(0, 53, 10)
-    r = wstm_route(lone, NextHops([lone], TWO), max_hops=10)
+    r = wstm_route(0, table([lone], TWO), max_hops=10)
     assert r is not None and r.n_hops == 1
 
 
@@ -87,7 +115,7 @@ def test_wstm_dead_end_is_no_route():
     # a closer teammate that is NOT closer to the sink blocks the greedy rule
     holder = player(0, 50, 34)
     behind = player(1, 52, 34)  # nearer to the holder than sink 1, farther from it
-    assert wstm_route(holder, NextHops([holder, behind], TWO), max_hops=10) is None
+    assert wstm_route(0, table([holder, behind], TWO), max_hops=10) is None
 
 
 def test_wstm_tie_breaks_lowest_player_id():
@@ -95,7 +123,7 @@ def test_wstm_tie_breaks_lowest_player_id():
     a = player(2, 6, 28)
     b = player(1, 6, 40)        # same distance to sink 1 as a
     assert distance(Point(6, 28), Point(0, 34)) == distance(Point(6, 40), Point(0, 34))
-    r = wstm_route(holder, NextHops([holder, a, b], TWO), max_hops=10)
+    r = wstm_route(5, table([holder, a, b], TWO), max_hops=10)
     assert r is not None
     assert r.hops[0].dst_player == 1
     assert r.n_hops == 2
@@ -105,7 +133,7 @@ def test_wstm_forwards_to_globally_best_relay():
     # the rule picks the candidate closest to the sink, not the adjacent one,
     # so evenly spaced lines collapse into two hops
     chain = [player(i, 46 - 12 * i, 34) for i in range(4)]  # x = 46, 34, 22, 10
-    r = wstm_route(chain[0], NextHops(chain, TWO), max_hops=10)
+    r = wstm_route(0, table(chain, TWO), max_hops=10)
     assert r is not None
     assert [h.dst_player for h in r.hops] == [3, None]
     assert r.n_hops == 2 and r.hops[-1].dst_sink == 1
@@ -114,9 +142,9 @@ def test_wstm_forwards_to_globally_best_relay():
 def test_wstm_max_hops_budget():
     holder = player(0, 40, 34)
     relay = player(1, 15, 34)
-    two_hop = wstm_route(holder, NextHops([holder, relay], TWO), max_hops=2)
+    two_hop = wstm_route(0, table([holder, relay], TWO), max_hops=2)
     assert two_hop is not None and two_hop.n_hops == 2
-    assert wstm_route(holder, NextHops([holder, relay], TWO), max_hops=1) is None
+    assert wstm_route(0, table([holder, relay], TWO), max_hops=1) is None
 
 
 def test_wstm_distance_to_sink_strictly_decreases():
@@ -124,7 +152,7 @@ def test_wstm_distance_to_sink_strictly_decreases():
     for _ in range(300):
         players = [player(i, rng.uniform(0, 106), rng.uniform(0, 68))
                    for i in range(8)]
-        r = wstm_route(players[0], NextHops(players, TWO), max_hops=10)
+        r = wstm_route(0, table(players, TWO), max_hops=10)
         if r is None:
             continue
         positions = {p.player_id: Point(p.x, p.y) for p in players}
@@ -184,7 +212,7 @@ def test_wstm_matches_bruteforce_oracle_on_random_snapshots():
                    for i in range(n)]
         max_hops = rng.randint(1, 6)
         origin = players[rng.randrange(n)]
-        got = wstm_route(origin, NextHops(players, TWO), max_hops)
+        got = wstm_route(origin.player_id, table(players, TWO), max_hops)
         want = _oracle_greedy(origin, players, TWO, max_hops)
         if want is None:
             assert got is None
@@ -215,8 +243,7 @@ def test_wstm_hop_distances_are_bitwise_those_of_geometry():
         coord = rng.randint if i % 4 < 2 else rng.uniform
         n = rng.randint(1, 8)
         players = [player(j, coord(0, 106), coord(0, 68)) for j in range(n)]
-        r = wstm_route(players[rng.randrange(n)], NextHops(players, field),
-                       max_hops=10)
+        r = wstm_route(rng.randrange(n), table(players, field), max_hops=10)
         if r is not None:
             routes += 1
             _assert_hops_use_geometry(r, players, field)
@@ -225,12 +252,12 @@ def test_wstm_hop_distances_are_bitwise_those_of_geometry():
 
 def test_wstm_equidistant_sinks_go_to_the_lower_id():
     midfield = player(0, 53, 20)
-    r = wstm_route(midfield, NextHops([midfield], TWO), max_hops=10)
+    r = wstm_route(0, table([midfield], TWO), max_hops=10)
     assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], TWO)
     # the rule is on the id, not on the order the field lists its sinks
     swapped = FieldConfig(106, 68, tuple(reversed(TWO.sinks)))
-    r = wstm_route(midfield, NextHops([midfield], swapped), max_hops=10)
+    r = wstm_route(0, table([midfield], swapped), max_hops=10)
     assert r.hops[-1].dst_sink == 1
     _assert_hops_use_geometry(r, [midfield], swapped)
 
@@ -289,10 +316,10 @@ def test_one_table_serves_every_origin_of_a_snapshot():
         n = len(xy)
         players = [player(j, x, y) for j, (x, y) in zip(rng.sample(range(n), n), xy)]
         rng.shuffle(players)
-        table = NextHops(players, field)
+        hops = table(players, field)
         for origin in rng.sample(players, n):
             max_hops = rng.randint(1, 6)
-            got = wstm_route(origin, table, max_hops)
+            got = wstm_route(origin.player_id, hops, max_hops)
             if got is not None:
                 assert_joined_up(got, origin)
             want = _per_call_wstm_route(origin, players, field, max_hops)
@@ -308,7 +335,7 @@ def test_relay_ties_go_to_the_lower_id_in_any_list_order():
             holder = player(holder_id, 40, 34)
             a, b = player(ids[0], 6, 28), player(ids[1], 6, 40)
             for order in itertools.permutations([holder, a, b]):
-                r = wstm_route(holder, NextHops(list(order), TWO), max_hops=10)
+                r = wstm_route(holder_id, table(order, TWO), max_hops=10)
                 assert r.hops[0].dst_player == 1 and r.n_hops == 2
     # a holder tied with a teammate for nearest to the sink has no strictly
     # nearer relay, whichever of the two has the lower id; the teammate
@@ -316,12 +343,12 @@ def test_relay_ties_go_to_the_lower_id_in_any_list_order():
     for tied_id in (1, 7):
         holder, tied, beside = player(3, 6, 28), player(tied_id, 6, 40), player(4, 12, 28)
         for order in itertools.permutations([holder, tied, beside]):
-            assert wstm_route(holder, NextHops(list(order), TWO), max_hops=10) is None
+            assert wstm_route(3, table(order, TWO), max_hops=10) is None
             assert _per_call_wstm_route(holder, order, TWO, 10) is None
 
 
 def test_threshold_trigger_no_events_no_packets():
-    assert trigger_transmissions(THEFAME, 10, 50, [], [player(0, 1, 1)]) == []
+    assert trigger_transmissions(THEFAME, 10, 50, [], [0]) == []
 
 
 def test_threshold_trigger_one_packet_per_event():
@@ -331,18 +358,18 @@ def test_threshold_trigger_one_packet_per_event():
 
 
 def test_periodic_trigger_on_period():
-    alive = [player(i, i, i) for i in range(22)]
+    alive = list(range(22))
     origins = trigger_transmissions(WSTM, 10, 30, [], alive)
     assert len(origins) == 22
     assert sorted(origins) == list(range(22))
 
 
 def test_periodic_trigger_off_period():
-    alive = [player(i, i, i) for i in range(22)]
+    alive = list(range(22))
     assert trigger_transmissions(WSTM, 10, 31, [], alive) == []
 
 
 def test_periodic_trigger_counts_only_alive():
-    alive = [player(i, i, i) for i in range(5)]
+    alive = list(range(5))
     origins = trigger_transmissions(WSTM, 10, 10, [], alive)
     assert len(origins) == 5

@@ -1,6 +1,7 @@
 """pitchsim runs on the standard library alone: no module of the package
 imports a third-party package, and the project declares no dependency.
-No module uses the builtin ``sum()``.
+No module uses the builtin ``sum()``, and no module imports a private
+(underscored) name from another.
 
 This file imports only the standard library, so it also runs without
 pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
@@ -47,6 +48,16 @@ def test_sources_never_use_sum():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
             if _names_sum(node)]
     assert not uses
+
+
+# A name with a leading underscore is its module's own; a caller that needs
+# it needs a public name.
+def test_sources_import_no_private_names():
+    private = [f"{path.name}:{node.lineno}: {alias.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private
 
 
 def test_project_declares_no_dependencies():
