@@ -6,7 +6,7 @@ from .channel import ChannelParams, propagation_delay, transmit_hop
 from .energy import (Battery, RadioModel, direct_tx_energy, multihop_rx_energy,
                      multihop_total_energy, multihop_tx_energy)
 from .engine import (MatchResult, MetricsLog, World, aggregate, run_match,
-                     simulate_mobility, stability_period)
+                     simulate_mobility)
 from .geometry import FieldConfig, Point, distance
 from .mobility import MobilityParams, PlayerKinematics, SpeedMode
 from .physiology import (FatigueCause, FatigueEvent, FatigueMonitor,

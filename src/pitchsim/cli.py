@@ -89,12 +89,11 @@ def _cmd_run(args) -> int:
     world = World(scenario, record_trajectory=args.dump_trajectory,
                   record_lactate=args.dump_lactate)
     result = run_match(scenario, world=world)
-    totals = result.metrics.totals()
-    paths = emit_run_reports(result, args.out or _default_out(), totals)
+    paths = emit_run_reports(result, args.out or _default_out())
     last = result.metrics.rounds[-1]
     print(f"{scenario.protocol} seed={scenario.seed}: "
           f"{len(result.metrics.rounds)} rounds, alive={last.alive}, "
-          f"delivered={totals.received}")
+          f"delivered={result.totals.received}")
     for p in paths:
         print(f"  wrote {p}")
     return EXIT_OK

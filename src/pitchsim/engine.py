@@ -10,8 +10,10 @@ ends as either a hop delivery or a drop. Packet level: the trigger
 returns origins, numbered in that order, and ``MatchSim._send`` alone
 decides each packet's fate: delivered (reached a sink), dropped (a hop
 lost it), or routing-failed (an origin dead earlier in the round, no
-route, or a relay drained by its own receive). ``MetricsLog.totals`` is
-the one way to total a run: one walk over its rounds sums every counter.
+route, or a relay drained by its own receive). ``add_counters`` is the
+one walk that adds counters: ``MatchSim.run`` takes a run's tally
+(``MatchResult.totals``) with it once, and ``report.summarize`` pools
+tallies with it.
 A relay's receive cost depends only on the scenario, so ``MatchSim``
 computes it once per match. ``MatchSim._debit`` reports the death it
 causes, and ``_send`` stops a packet at a relay that its receive killed.
@@ -77,8 +79,6 @@ from .protocol import (THEFAME, NextHops, thefame_route, trigger_transmissions,
 from .scenario import Scenario
 from .seeding import stream
 
-NO_DEATH = None
-
 
 @dataclass(slots=True)
 class RoundRecord:
@@ -95,8 +95,10 @@ class RoundRecord:
 
 
 class RunTotals(NamedTuple):
-    """One run's tally: its counters summed over its rounds, its first
-    death (``stability_period``) and its final residual energy."""
+    """One run's tally: its counters summed over its rounds, the round of
+    its first death (the stability period; None when no node died) and its
+    final residual energy. The counters carry ``RoundRecord``'s names, so
+    ``add_counters`` adds tallies as it adds rounds."""
     hop_sends: int
     hop_drops: int
     origin_sends: int
@@ -125,25 +127,23 @@ class MetricsLog:
     deaths: list[tuple[int, int]] = field(default_factory=list)   # (player_id, round)
     debits: dict[int, list[float]] = field(default_factory=dict)  # applied, in order
 
-    def totals(self) -> RunTotals:
-        """The run's tally, every counter summed in one walk in round order."""
-        sends = drops = origin_sends = received = failures = triggered = 0
-        delay_sum = 0.0
-        for r in self.rounds:
-            sends += r.hop_sends
-            drops += r.hop_drops
-            origin_sends += r.origin_sends
-            received += r.received
-            failures += r.routing_failures
-            triggered += r.triggered
-            delay_sum += r.delay_sum
-        return RunTotals(sends, drops, origin_sends, received, failures, triggered,
-                         delay_sum, stability_period(self), self.rounds[-1].residual_j)
 
-
-def stability_period(log: MetricsLog) -> int | None:
-    """Round of the first node death, or NO_DEATH when none died."""
-    return log.deaths[0][1] if log.deaths else NO_DEATH
+def add_counters(records) -> tuple:
+    """``hop_sends``, ``hop_drops``, ``origin_sends``, ``received``,
+    ``routing_failures``, ``triggered`` and ``delay_sum`` of ``records``
+    (``RoundRecord``s or ``RunTotals``), each added left to right, so
+    every supported Python gives the same bits."""
+    sends = drops = origin_sends = received = failures = triggered = 0
+    delay_sum = 0.0
+    for r in records:
+        sends += r.hop_sends
+        drops += r.hop_drops
+        origin_sends += r.origin_sends
+        received += r.received
+        failures += r.routing_failures
+        triggered += r.triggered
+        delay_sum += r.delay_sum
+    return sends, drops, origin_sends, received, failures, triggered, delay_sum
 
 
 @dataclass
@@ -152,6 +152,7 @@ class MatchResult:
     metrics: MetricsLog
     feed: list[Delivery]
     events: list[FatigueEvent]
+    totals: RunTotals
     early_stop_round: int | None = None
     trajectory: list[tuple[int, int, float, float, str]] = field(default_factory=list)
     lactate_trace: list[tuple[int, int, float]] = field(default_factory=list)
@@ -355,11 +356,14 @@ class MatchSim:
             # keep the round axis comparable: pad the log with all-dead rows
             for t in range(early_stop + 1, self.scenario.rounds + 1):
                 self.metrics.rounds.append(RoundRecord(t, 0))
+        m = self.metrics
         return MatchResult(
             scenario=self.scenario,
-            metrics=self.metrics,
+            metrics=m,
             feed=aggregate(self.feed),
             events=self.events,
+            totals=RunTotals(*add_counters(m.rounds), m.deaths[0][1] if m.deaths else None,
+                             m.rounds[-1].residual_j),
             early_stop_round=early_stop,
             trajectory=self.world.trajectory,
             lactate_trace=self.world.lactate_trace,

@@ -3,10 +3,11 @@
 Three files per run: ``timeseries.csv`` (one row per round, cumulative
 counters), ``events.csv`` (the fatigue log), and ``summary.csv``
 (per-protocol totals plus a delta row for paired comparisons).
-Summaries pool per-run tallies (``RunTotals``), never round logs, so a
-comparison writes each pair's run reports as the pair arrives and keeps
-only its tallies and the paths it wrote. Its memory still grows with
-the seed count, by about 1.5 KB per seed, but not with the rounds.
+Summaries pool per-run tallies (``MatchResult.totals``), never round
+logs, so a comparison writes each pair's run reports as the pair arrives
+and keeps only its tallies and the paths it wrote. Its memory still
+grows with the seed count, by about 1.5 KB per seed, but not with the
+rounds.
 
 Counters come at two levels and both are reported: ``throughput_pct``
 follows the received-over-transmitted definition with every per-hop
@@ -31,7 +32,7 @@ from dataclasses import astuple, dataclass
 from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .engine import MatchResult, MetricsLog, RunTotals
+from .engine import MatchResult, MetricsLog, RunTotals, add_counters
 from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
 
 TIMESERIES_COLUMNS = ["round", "alive", "sent_cum", "dropped_cum",
@@ -113,22 +114,16 @@ class ProtocolSummary:
 
 
 def summarize(protocol: str, runs: Sequence[RunTotals]) -> ProtocolSummary:
-    """Pool per-run tallies, every counter in one walk in run order, as
-    ``MetricsLog.totals`` does: float sums add the runs' values left to
-    right, so every supported Python gives the same bits."""
-    sent_hops = sent_packets = received = dropped = failed = 0
+    """Pool per-run tallies in run order: the counters through
+    ``add_counters``, then the first-death and residual means, each float
+    sum added left to right, so every supported Python gives the same bits."""
+    sent_hops, dropped, sent_packets, received, failed, _, delay_sum = add_counters(runs)
     death_sum = deaths = 0
-    delay_sum = residual_sum = 0.0
+    residual_sum = 0.0
     for t in runs:
-        sent_hops += t.hop_sends
-        sent_packets += t.origin_sends
-        received += t.received
-        dropped += t.hop_drops
-        failed += t.routing_failures
         if t.first_death is not None:
             death_sum += t.first_death
             deaths += 1
-        delay_sum += t.delay_sum
         residual_sum += t.final_residual_j
     return ProtocolSummary(
         protocol=protocol,
@@ -169,11 +164,10 @@ def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
         (seed, s.protocol, *astuple(s)[2:]) for seed, s in rows))
 
 
-def emit_run_reports(result: MatchResult, out_dir: str, totals: Optional[RunTotals] = None,
+def emit_run_reports(result: MatchResult, out_dir: str,
                      events_csv: Optional[str] = None) -> list[str]:
     """Write timeseries, events, and a one-row summary for a single run.
-    ``totals`` is the run's tally when already taken; events.csv is a copy
-    of ``events_csv`` when given."""
+    events.csv is a copy of ``events_csv`` when given."""
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.csv")
     paths = [
@@ -181,8 +175,7 @@ def emit_run_reports(result: MatchResult, out_dir: str, totals: Optional[RunTota
                          os.path.join(out_dir, "timeseries.csv")),
         shutil.copyfile(events_csv, events_path) if events_csv
         else write_events(result.events, events_path),
-        write_summary([summarize(result.scenario.protocol,
-                                 [totals or result.metrics.totals()])],
+        write_summary([summarize(result.scenario.protocol, [result.totals])],
                       os.path.join(out_dir, "summary.csv")),
     ]
     if result.trajectory:
@@ -209,13 +202,12 @@ def emit_comparison_reports(pairs: Iterable[tuple[int, MatchResult, MatchResult]
         for result in results:
             protocol = result.scenario.protocol
             sub = os.path.join(out_dir, f"{protocol}-seed{seed:03d}")
-            totals = result.metrics.totals()
             same = events_csv and len(results[0].events) == len(result.events) and all(
                 map(is_, results[0].events, result.events))
-            run_paths = emit_run_reports(result, sub, totals, events_csv if same else None)
+            run_paths = emit_run_reports(result, sub, events_csv if same else None)
             events_csv = events_csv or run_paths[1]
             paths.extend(run_paths)
-            kept.setdefault(protocol, []).append((seed, totals))
+            kept.setdefault(protocol, []).append((seed, result.totals))
         # resuming ``pairs`` runs the next pair: hold nothing of this one
         del results, result
     paths.append(write_summary(

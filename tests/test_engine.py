@@ -7,13 +7,13 @@ import pytest
 from pitchsim import engine
 from pitchsim.channel import ChannelParams
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy
-from pitchsim.engine import (NO_DEATH, Delivery, MatchSim, MetricsLog, RoundRecord,
-                             World, aggregate, run_match, simulate_mobility,
-                             stability_period)
+from pitchsim.engine import (Delivery, MatchSim, RoundRecord, World, aggregate,
+                             run_match, simulate_mobility)
 from pitchsim.geometry import nearest_sink_xy
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
 from pitchsim.scenario import Scenario, parse_scenario
+from test_acceptance import assert_conserved
 from test_protocol import Player, _bits, _per_call_wstm_route
 
 
@@ -40,8 +40,8 @@ def test_channel_settings_do_not_perturb_trajectories():
     lossy = recorded(stress(rounds=300))
     ideal = recorded(stress(rounds=300, channel=ChannelParams(drop_probability=0.0)))
     assert lossy.trajectory == ideal.trajectory
-    assert lossy.metrics.totals().hop_drops > 0
-    assert ideal.metrics.totals().hop_drops == 0
+    assert lossy.totals.hop_drops > 0
+    assert ideal.totals.hop_drops == 0
 
 
 def test_rerun_is_bitwise_identical():
@@ -57,7 +57,7 @@ def test_rerun_is_bitwise_identical():
 def test_round_without_packets_leaves_energy_unchanged():
     result = run_match(small(rounds=120))  # defaults trigger nothing this early
     first = result.metrics.rounds[0]
-    assert result.metrics.totals().triggered == 0
+    assert result.totals.triggered == 0
     for rec in result.metrics.rounds:
         assert rec.residual_j == first.residual_j
         assert rec.hop_sends == 0
@@ -90,10 +90,7 @@ def test_packet_conservation_both_protocols():
     # route at that relay
     for scenario in (stress(rounds=600), small("wstm", rounds=600),
                      small("wstm", rounds=300, initial_energy_j=0.002)):
-        m = run_match(scenario).metrics
-        for rec in m.rounds:
-            assert rec.received + rec.hop_drops + rec.routing_failures == rec.triggered
-            assert rec.received + rec.hop_drops <= rec.hop_sends
+        assert_conserved(run_match(scenario))
 
 
 def test_alive_count_monotone_and_dead_stay_dead():
@@ -111,20 +108,15 @@ def test_residual_non_increasing_and_replay_exact():
     res = [rec.residual_j for rec in m.rounds]
     assert all(a >= b for a, b in zip(res, res[1:]))
     # replaying every node's debit log reproduces its final residual exactly
-    total = 0.0
-    for pid, debits in m.debits.items():
-        b = Battery(m.initial_energy_j)
-        for amount in debits:
-            b.debit(amount)
-        total += b.residual
-    assert total == m.rounds[-1].residual_j
+    assert_conserved(result)
 
 
 def test_lossless_channel_delivers_every_sent_packet():
     scenario = stress(rounds=500, channel=ChannelParams(drop_probability=0.0),
                       initial_energy_j=50.0)
-    m = run_match(scenario).metrics
-    assert m.totals().triggered > 0
+    result = run_match(scenario)
+    m = result.metrics
+    assert result.totals.triggered > 0
     for rec in m.rounds:
         assert rec.received == rec.origin_sends
         assert rec.hop_drops == 0
@@ -136,16 +128,6 @@ def test_one_round_no_triggers_single_zero_row():
     rec = m.rounds[0]
     assert (rec.triggered, rec.hop_sends, rec.received) == (0, 0, 0)
     assert rec.alive == 22
-
-
-def test_stability_period_examples():
-    log = MetricsLog(initial_energy_j=1.0)
-    log.deaths = [(3, 2700)]
-    assert stability_period(log) == 2700
-    log.deaths = []
-    assert stability_period(log) is NO_DEATH
-    log.deaths = [(1, 5100), (2, 5200)]
-    assert stability_period(log) == 5100
 
 
 COUNTERS = ("hop_sends", "hop_drops", "origin_sends", "received",
@@ -166,14 +148,15 @@ def test_totals_equal_per_round_sums(scenario, dies):
         assert stop < scenario.rounds
         assert log.rounds[stop:] == [RoundRecord(t, 0)
                                      for t in range(stop + 1, scenario.rounds + 1)]
-    totals = log.totals()
+    totals = result.totals
     for name in COUNTERS:
-        expected = 0   # added in round order, the order totals() documents
+        expected = 0   # added in round order, the order add_counters documents
         for r in log.rounds:
             expected += getattr(r, name)
         assert getattr(totals, name) == expected, name
     assert totals.received > 0 and totals.routing_failures > 0
-    assert totals.first_death == stability_period(log)
+    # the first death logged, which is the earliest: deaths are logged in order
+    assert totals.first_death == (log.deaths[0][1] if dies else None)
     assert totals.final_residual_j == log.rounds[-1].residual_j
 
 
@@ -221,7 +204,7 @@ def test_feed_is_time_ordered_in_real_runs():
     feed = result.feed
     # one feed over every sink, one entry per delivered packet
     assert {x.sink_id for x in feed} == {1, 2}
-    assert len(feed) == result.metrics.totals().received
+    assert len(feed) == result.totals.received
     assert len({x.packet_id for x in feed}) == len(feed)
     keys = [(x.time, x.packet_id) for x in feed]
     assert keys == sorted(keys)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pitchsim import report
-from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, run_match
+from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, RunTotals, run_match
 from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
 from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary,
                              TIMESERIES_COLUMNS, UndefinedThroughputError,
@@ -179,7 +179,8 @@ def test_events_csv_units(tmp_path):
 def one_round_result(protocol, events):
     return MatchResult(scenario=Scenario(protocol=protocol),
                        metrics=MetricsLog(1.0, [RoundRecord(1, 22, residual_j=1.0)]),
-                       feed=[], events=events)
+                       feed=[], events=events,
+                       totals=RunTotals(0, 0, 0, 0, 0, 0, 0.0, None, 1.0))
 
 
 def events_csvs(tmp_path, fame_events, wstm_events, monkeypatch):
@@ -234,9 +235,9 @@ def test_pair_with_other_event_objects_renders_each_file(tmp_path, monkeypatch,
 
 
 def test_summary_shape_two_rows_plus_delta(tmp_path):
-    fame = summarize("thefame", [stress_result(seed=0).metrics.totals()])
+    fame = summarize("thefame", [stress_result(seed=0).totals])
     wstm = summarize("wstm", [run_match(Scenario(protocol="wstm", rounds=400,
-                                                 seed=0)).metrics.totals()])
+                                                 seed=0)).totals])
     path = str(tmp_path / "summary.csv")
     write_summary([fame, wstm], path)
     lines = open(path).read().splitlines()
@@ -262,7 +263,7 @@ def test_summary_shape_two_rows_plus_delta(tmp_path):
 
 def test_summary_blank_throughput_when_nothing_sent(tmp_path):
     silent = run_match(Scenario(rounds=30, seed=0))
-    s = summarize("thefame", [silent.metrics.totals()])
+    s = summarize("thefame", [silent.totals])
     assert s.throughput is None and s.delivery is None
     path = str(tmp_path / "summary.csv")
     write_summary([s], path)
@@ -272,6 +273,6 @@ def test_summary_blank_throughput_when_nothing_sent(tmp_path):
 
 def test_mean_delay_none_handling():
     silent = run_match(Scenario(rounds=30, seed=0))
-    assert summarize("thefame", [silent.metrics.totals()]).mean_delay_s is None
+    assert summarize("thefame", [silent.totals]).mean_delay_s is None
     rows = list(build_rows(silent.metrics))
     assert rows[-1][MEAN_DELAY] is None

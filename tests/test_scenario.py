@@ -1,7 +1,8 @@
 import struct
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import inf, isfinite, nan
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +244,93 @@ def base_fingerprint():
 @pytest.mark.parametrize("key", sorted(_KEYS))
 def test_every_scenario_key_changes_the_run(key, base_fingerprint):
     assert _paired_fingerprint({**LIVE_BASE, key: ALTERNATES[key]}) != base_fingerprint
+
+
+# --- what each key must not change -----------------------------------------
+
+# The keys that the world never reads: whatever they say, the two protocols
+# of a paired run see the same movement, lactate and fatigue events. Every
+# other key may change the world; a new key goes into one list or the other.
+LEAVE_THE_WORLD = {"protocol", "field.sink_placement", "radio.e_circuitry",
+                   "radio.e_amp", "radio.packet_bits", "radio.form", "energy.initial_j",
+                   "drop_probability", "data_rate", "per_hop_processing",
+                   "wstm.max_hops", "wstm.period_s"}
+MAY_CHANGE_THE_WORLD = {
+    "seed", "rounds", "players", "field.length", "field.width",
+    "mobility.v_run_min", "mobility.v_run_max", "mobility.v_sprint", "mobility.v_walk",
+    "mobility.sprint_min_s", "mobility.sprint_max_s", "mobility.sprints_per_match",
+    "mobility.rest_multiple", "mobility.deviation_radius", "mobility.group_speed_kmh",
+    "mobility.run_episode_mean_s", "mobility.walk_episode_mean_s", "lactate.base",
+    "lactate.v_aerobic", "lactate.alpha", "lactate.beta", "fatigue.lactate_threshold",
+    "fatigue.distance_km", "fatigue.hysteresis"}
+CHANNEL_KEYS = ["drop_probability", "data_rate", "per_hop_processing"]
+WSTM_KEYS = ["wstm.max_hops", "wstm.period_s"]
+
+# The high-rate preset cut to 600 rounds with 0.5 J batteries: 252 fatigue
+# events, and one thefame node dies.
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+PROBE = replace(parse_scenario(str(SCENARIOS / "high-rate.cfg")), rounds=600,
+                initial_energy_j=0.5)
+
+
+def _with_key(scenario, key, text):
+    """``scenario`` with one scenario-file key set to ``text``."""
+    section, attr, cast = _KEYS[key]
+    if section is None:
+        return replace(scenario, **{attr: cast(text)})
+    return replace(scenario, **{section: replace(getattr(scenario, section),
+                                                 **{attr: cast(text)})})
+
+
+def _world_outputs(scenario):
+    """The world's trajectory, lactate trace and fatigue events, as text
+    that holds every float's bits."""
+    world = World(scenario, record_trajectory=True, record_lactate=True)
+    for _ in range(scenario.rounds):
+        world.advance()
+    events = [ev for t in sorted(world.history) for ev in world.history[t][0]]
+    return repr(world.trajectory), repr(world.lactate_trace), repr(events)
+
+
+@pytest.fixture(scope="module")
+def probe_world():
+    return _world_outputs(PROBE)
+
+
+@pytest.fixture(scope="module")
+def probe_thefame():
+    return run_match(PROBE)
+
+
+def test_the_probe_has_events_and_a_thefame_death(probe_world, probe_thefame):
+    assert probe_world[2].count("FatigueEvent(") == 252
+    assert len(probe_thefame.metrics.deaths) == 1
+
+
+def test_every_key_is_listed_as_leaving_the_world_or_not():
+    assert LEAVE_THE_WORLD.isdisjoint(MAY_CHANGE_THE_WORLD)
+    assert LEAVE_THE_WORLD | MAY_CHANGE_THE_WORLD == set(_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_world_changes_only_with_the_keys_it_reads(key, probe_world):
+    changed = _world_outputs(_with_key(PROBE, key, ALTERNATES[key])) != probe_world
+    assert changed == (key in MAY_CHANGE_THE_WORLD)
+
+
+@pytest.mark.parametrize("key", CHANNEL_KEYS)
+def test_channel_keys_leave_thefame_debits_and_deaths(key, probe_thefame):
+    # a dropped packet refunds nothing, and thefame relays nothing
+    m = run_match(_with_key(PROBE, key, ALTERNATES[key])).metrics
+    assert m.debits == probe_thefame.metrics.debits
+    assert m.deaths == probe_thefame.metrics.deaths
+
+
+@pytest.mark.parametrize("key", WSTM_KEYS)
+def test_wstm_keys_leave_a_thefame_match(key, probe_thefame):
+    r = run_match(_with_key(PROBE, key, ALTERNATES[key]))
+    p = probe_thefame
+    assert (r.metrics, r.events, r.feed, r.totals) == (p.metrics, p.events, p.feed, p.totals)
 
 
 def test_invalid_radio_form():
