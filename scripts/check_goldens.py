@@ -7,9 +7,9 @@ This file is where each pinned run is recorded and computed: seed 0 of
 each workload in ``benchmarks/goldens.json`` (the benchmark's own
 workloads and digest rule, read from ``benchmarks/``), and the runs
 pinned by ``DEATH_RUN_DIGEST``, ``RECORDED_RUN_DIGEST``,
-``MOBILITY_RUN_DIGEST``, ``POOLED_RUN_DIGEST`` and ``STOPPED_RUN_DIGEST``
-below. It uses the standard library only, so any CPython that runs
-pitchsim can run it, with or without pytest. It prints one line per
+``MOBILITY_RUN_DIGEST``, ``POOLED_RUN_DIGEST``, ``STOPPED_RUN_DIGEST`` and
+``STOPPED_RECORDED_RUN_DIGEST`` below. It uses the standard library only,
+so any CPython that runs pitchsim can run it, with or without pytest. It prints one line per
 digest and exits 1 if any differs.
 ``tests/test_goldens.py`` runs the same ``checks()`` in-process.
 """
@@ -135,6 +135,20 @@ def stopped_run_digest(out_dir: Path) -> str:
                         "--seed", "0", "--out", str(out_dir)], out_dir)
 
 
+# Recorded before the world played ahead of the match: the same stopped run
+# with its trajectory.csv and lactate.csv, which hold rounds 1..180 only, the
+# rounds the match played, though its world may have played further.
+STOPPED_RECORDED_RUN_DIGEST = "bfcc7e81543146b313d0fe27ba8e5f2386bc24df826688c4bd1b039623a122f1"
+
+
+def stopped_recorded_run_digest(out_dir: Path) -> str:
+    """Digest of ``run --scenario scenarios/wstm.cfg --seed 0
+    --dump-trajectory --dump-lactate``."""
+    return _cli_digest(["run", "--scenario", str(ROOT / "scenarios" / "wstm.cfg"),
+                        "--seed", "0", "--out", str(out_dir),
+                        "--dump-trajectory", "--dump-lactate"], out_dir)
+
+
 def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
     """Every pinned run: (label, recorded digest, compute), where
     ``compute(out_dir)`` returns the run's digest, writing under the empty
@@ -146,7 +160,9 @@ def checks() -> list[tuple[str, str, Callable[[Path], str]]]:
         ("RECORDED_RUN_DIGEST", RECORDED_RUN_DIGEST, recorded_run_digest),
         ("MOBILITY_RUN_DIGEST", MOBILITY_RUN_DIGEST, mobility_run_digest),
         ("POOLED_RUN_DIGEST", POOLED_RUN_DIGEST, pooled_run_digest),
-        ("STOPPED_RUN_DIGEST", STOPPED_RUN_DIGEST, stopped_run_digest)]
+        ("STOPPED_RUN_DIGEST", STOPPED_RUN_DIGEST, stopped_run_digest),
+        ("STOPPED_RECORDED_RUN_DIGEST", STOPPED_RECORDED_RUN_DIGEST,
+         stopped_recorded_run_digest)]
 
 
 def main() -> int:

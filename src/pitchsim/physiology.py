@@ -86,11 +86,12 @@ def step_lactate(levels: list[float], players: Sequence[PlayerKinematics],
     l_base, v_aerobic, alpha, beta = params.l_base, params.v_aerobic, params.alpha, params.beta
     for i, kin in enumerate(players):
         level = levels[i]
-        # d if d > 0.0 else 0.0 is max(0.0, d) without a builtin call, same floats
+        # alpha * max(0.0, d) without a builtin call or a product with zero:
+        # alpha is in (0, inf) and beta in [0, 1), so the floats are the same
         d = kin.speed_kmh - v_aerobic
-        production = alpha * (d if d > 0.0 else 0.0)
+        production = alpha * d if d > 0.0 else 0.0
         d = level - l_base
-        clearance = beta * (d if d > 0.0 else 0.0)
+        clearance = beta * d if d > 0.0 else 0.0
         new = level + (production - clearance)
         levels[i] = new if new > 0.0 else 0.0
 

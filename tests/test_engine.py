@@ -427,6 +427,41 @@ def test_world_serves_the_other_protocol():
     assert world.history == own.history
 
 
+def test_the_world_plays_ahead_of_a_match_only_to_its_last_round():
+    # wstm, seed 0, stops at round 180; its world plays the block to 200
+    stopped = MatchSim(parse_scenario(str(SCENARIOS / "wstm.cfg")))
+    assert stopped.run().early_stop_round == 180
+    assert stopped.world.round == 2 * engine.WORLD_BLOCK == 200
+    # 150 rounds end inside the second block
+    short = MatchSim(small(rounds=150))
+    short.run()
+    assert short.world.round == 150
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_stopped_match_returns_the_rows_of_the_rounds_it_played(shared):
+    wstm = parse_scenario(str(SCENARIOS / "wstm.cfg"))
+    n = wstm.players
+
+    def recording(scenario):
+        return World(scenario, record_trajectory=True, record_lactate=True)
+
+    world = recording(wstm)
+    if shared:   # thefame plays all 5400 rounds on the world first
+        fame = run_match(wstm.with_protocol("thefame"), world)
+        assert len(fame.trajectory) == len(fame.lactate_trace) == n * wstm.rounds
+    result = run_match(wstm, world)
+    assert result.early_stop_round == 180
+    assert world.round > 180
+    assert result.trajectory == world.trajectory[:n * 180]
+    assert result.lactate_trace == world.lactate_trace[:n * 180]
+    assert {row[1] for row in result.trajectory} == set(range(1, 181))
+    assert {row[1] for row in result.lactate_trace} == set(range(1, 181))
+    private = run_match(wstm, recording(wstm))
+    assert (result.trajectory, result.lactate_trace) == (private.trajectory,
+                                                         private.lactate_trace)
+
+
 def test_snapshots_are_the_recorded_positions():
     # a snapshot is (events, xs, ys) with one array('d') per axis, by player id
     world = World(_shared_world_cases()["high-rate"], record_trajectory=True)

@@ -301,10 +301,10 @@ def _bits(route):
             for h in route.hops]
 
 
-def test_one_table_serves_every_origin_of_a_snapshot():
-    rng = random.Random(1313)
-    multi_hop = 0
-    for i in range(400):
+def _random_snapshots(rng, count):
+    """``count`` (field, players) snapshots, alternating the six-sink and
+    two-sink fields, with ids shuffled and listed in random order."""
+    for i in range(count):
         field = (SIX, TWO)[i % 2]
         grid = i % 4 < 2
         coord = rng.randint if grid else rng.uniform
@@ -316,6 +316,14 @@ def test_one_table_serves_every_origin_of_a_snapshot():
         n = len(xy)
         players = [player(j, x, y) for j, (x, y) in zip(rng.sample(range(n), n), xy)]
         rng.shuffle(players)
+        yield field, players
+
+
+def test_one_table_serves_every_origin_of_a_snapshot():
+    rng = random.Random(1313)
+    multi_hop = 0
+    for field, players in _random_snapshots(rng, 400):
+        n = len(players)
         hops = table(players, field)
         for origin in rng.sample(players, n):
             max_hops = rng.randint(1, 6)
@@ -326,6 +334,23 @@ def test_one_table_serves_every_origin_of_a_snapshot():
             assert _bits(got) == _bits(want)
             multi_hop += got is not None and got.n_hops > 1
     assert multi_hop > 300
+
+
+def test_one_table_answers_every_budget_in_either_order():
+    # a table that kept a route refused for its length would refuse it
+    # again under a larger budget, or give a longer one under a smaller
+    refused = 0
+    for field, players in _random_snapshots(random.Random(2424), 200):
+        for budgets in (range(1, 7), range(6, 0, -1)):
+            hops = table(players, field)
+            for max_hops in budgets:
+                for origin in players:
+                    got = wstm_route(origin.player_id, hops, max_hops)
+                    want = _per_call_wstm_route(origin, players, field, max_hops)
+                    assert _bits(got) == _bits(want)
+                    refused += got is None and _per_call_wstm_route(
+                        origin, players, field, 10) is not None
+    assert refused > 100
 
 
 def test_relay_ties_go_to_the_lower_id_in_any_list_order():
