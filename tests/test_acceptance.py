@@ -10,9 +10,7 @@ baseline rounds; no battery size places both windows simultaneously.
 The assert is kept faithful to the stated target rather than loosened.
 """
 
-import importlib.util
 import statistics
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -32,19 +30,13 @@ from pitchsim.report import summarize, throughput_pct
 from pitchsim.scenario import Scenario, parse_scenario
 from pitchsim.seeding import stream
 
+import workloads  # the benchmark's output check
 from test_protocol import _oracle_greedy, player, table
 from pitchsim.protocol import wstm_route
 
 PAIR_SEEDS = range(10)
 ROOT = Path(__file__).resolve().parents[1]
 HIGH_RATE = parse_scenario(str(ROOT / "scenarios" / "high-rate.cfg"))
-
-# the benchmark's output check, loaded by path; its @dataclass looks the
-# module up in sys.modules while the module runs
-_spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads
-_spec.loader.exec_module(workloads)
 
 
 @contextmanager

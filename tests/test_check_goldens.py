@@ -1,32 +1,48 @@
-"""``scripts/check_goldens.py``: its ``main()`` in-process, and the script
-under every other CPython 3.10-3.13 found on PATH. One that is not found,
-cannot start, or is the running interpreter is skipped, and the skip
-reason names it."""
+"""``scripts/check_goldens.py``: its ``main()`` in-process, its table of
+pins, and the script under every other CPython 3.10-3.13 found on PATH.
+One that is not found, cannot start, or is the running interpreter is
+skipped, and the skip reason names it."""
 
-import importlib.util
 import os
 import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_goldens.py"
-_spec = importlib.util.spec_from_file_location("check_goldens", SCRIPT)
-goldens = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(goldens)
+import check_goldens as goldens
+
+SCRIPT = goldens.ROOT / "scripts" / "check_goldens.py"
 OTHERS = ("python3.10", "python3.11", "python3.12", "python3.13")
+
+
+def _raises(out_dir):
+    raise ValueError("no such preset")
 
 
 def test_main_reports_a_mismatch_and_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(goldens, "checks", lambda: [
-        ("kept", "aa", lambda out_dir: "aa"), ("changed", "bb", lambda out_dir: "cc")])
+        ("kept", "aa", lambda out_dir: "aa"), ("changed", "bb", lambda out_dir: "cc"),
+        ("raised", "dd", _raises), ("after", "ee", lambda out_dir: "ee")])
     assert goldens.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["ok        kept", "MISMATCH  changed: got cc, recorded bb"]
-    assert lines[-1].endswith(": 1 of 2 digests match")
+    assert lines[:4] == ["ok        kept", "MISMATCH  changed: got cc, recorded bb",
+                         "ERROR     raised: ValueError: no such preset", "ok        after"]
+    assert lines[-1].endswith(": 2 of 4 digests match")
+
+
+# A label names its pin in the script's output and in the test ids of
+# tests/test_goldens.py; a copied label would give two pins one name.
+def test_pin_labels_are_unique():
+    labels = [label for label, _, _ in goldens.checks()]
+    assert not {label for label in labels if labels.count(label) > 1}
+
+
+def test_pin_presets_exist():
+    missing = [preset for _, _, preset, _, _ in goldens.CLI_PINS
+               if preset is not None and not (goldens.ROOT / "scenarios" / preset).is_file()]
+    assert not missing
 
 
 @pytest.mark.parametrize("name", OTHERS)

@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import math
 import random
 import struct
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,6 +13,8 @@ from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, TWO_PI, GroupReference,
                                formation_offsets, make_players, schedule_mode,
                                step_group_reference, step_player)
 from pitchsim.scenario import Scenario
+
+import calibrate_mobility
 
 FIELD = FieldConfig.six_sinks()
 PARAMS = MobilityParams()
@@ -275,11 +275,7 @@ def test_params_validation():
 
 
 def test_calibration_script_runs(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_mobility.py"
-    spec = importlib.util.spec_from_file_location("calibrate_mobility", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--seeds", "1", "--rounds", "200"]) == 0
+    assert calibrate_mobility.main(["--seeds", "1", "--rounds", "200"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seeds=1 players=22 rounds=200"
     assert [line.split(":")[0] for line in lines[1:]] == [

@@ -1,5 +1,7 @@
 """pitchsim runs on the standard library alone: no module of the package
 imports a third-party package, and the project declares no dependency.
+The scripts and the benchmark harness import only the standard library,
+pitchsim and the harness's own modules.
 No module uses the builtin ``sum()``, and no module imports a private
 (underscored) name from another.
 
@@ -13,6 +15,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "pitchsim").glob("*.py"))
+# scripts/ and the benchmark harness run with nothing installed; they may
+# import pitchsim and the harness's own modules.
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    path for path in (ROOT / "benchmarks").glob("*.py") if not path.name.startswith("test_"))
+SCRIPT_SIBLINGS = {"pitchsim", "workloads", "spans", "layers", "run"}
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -30,6 +37,14 @@ def test_sources_import_only_the_standard_library():
     outside = {f"{path.name}: {name}" for path in SOURCES
                for name in _absolute_imports(path)
                if name not in sys.stdlib_module_names}
+    assert not outside
+
+
+def test_scripts_import_only_the_standard_library_and_pitchsim():
+    assert SCRIPTS
+    outside = {f"{path.parent.name}/{path.name}: {name}" for path in SCRIPTS
+               for name in _absolute_imports(path)
+               if name not in sys.stdlib_module_names and name not in SCRIPT_SIBLINGS}
     assert not outside
 
 
