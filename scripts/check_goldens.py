@@ -17,7 +17,6 @@ same ``checks()`` in-process.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import io
@@ -102,6 +101,26 @@ CLI_PINS: tuple[tuple[str, str, str | None, str, tuple[str, ...]], ...] = (
     ("STOPPED_RECORDED_RUN_DIGEST",
      "bfcc7e81543146b313d0fe27ba8e5f2386bc24df826688c4bd1b039623a122f1",
      "wstm.cfg", "", ("run", "--seed", "0", "--dump-trajectory", "--dump-lactate")),
+    # Recorded before any preset reached it: with no sprints the sprint hazard
+    # is 0, so schedule_mode must draw no sprint-onset number; one extra draw
+    # shifts every later mode choice of a 600-round world.
+    ("NO_SPRINTS_RUN_DIGEST",
+     "c05175a4d03e4669fcd8876450dfc9badd06a53fc60af7f80d736070ddbbb662",
+     None, "rounds = 600\nmobility.sprints_per_match = 0\n", ("compare", "--seeds", "0")),
+    # Recorded before any preset reached it: with rest_multiple 0 a sprint is
+    # followed by no recovery lock at all, not by a lock of one second.
+    ("NO_REST_RUN_DIGEST",
+     "955b200ba9a49918362f53a09570eadea7df1797ec487b5f4251db89a1f1cbf6",
+     None, "rounds = 600\nmobility.rest_multiple = 0\n", ("compare", "--seeds", "0")),
+    # Recorded before any preset reached it: the extended layout's apron on a
+    # 70-yard field is (106 * 70) / 68, one ulp off 106 * (70 / 68). A 1 J
+    # thefame run with early, frequent lactate events keeps that ulp in its
+    # debits; the 1000 J high-rate run loses it in the residual sums.
+    ("WIDE_EXTENDED_RUN_DIGEST",
+     "d13f3a27c55df1303d8794fd04fd7d704fdb51a8749e2de2b949d00afdf316a1",
+     None, "rounds = 300\nlactate.alpha = 0.05\nlactate.beta = 0.5\n"
+     "fatigue.lactate_threshold = 1.2\nfield.width = 70\n"
+     "field.sink_placement = extended\nenergy.initial_j = 1\n", ("run", "--seed", "0")),
 )
 
 # Recorded before simulate_mobility ran on a world: every player's final
@@ -113,7 +132,7 @@ def mobility_run_digest(out_dir: Path) -> str:
     """Digest of ``simulate_mobility`` for 22 players, seed 5, 600 rounds."""
     run = engine.simulate_mobility(scenario.Scenario(players=22, rounds=600, seed=5))
     finals = [(k.x, k.y, k.cumulative_km) for k in run.players]
-    sprints = [dataclasses.astuple(ep) for ep in run.sprints]
+    sprints = [tuple(ep) for ep in run.sprints]
     return hashlib.sha256(repr((finals, sprints)).encode()).hexdigest()
 
 

@@ -419,8 +419,8 @@ def move_players(group: GroupReference, players: list[PlayerKinematics],
         step_player(kin, group, field, params, mob_rng)
 
 
-@dataclass(frozen=True)
-class SprintEpisode:
+class SprintEpisode(NamedTuple):
+    """A value record: one player's unbroken run of sprinting seconds."""
     player_id: int
     start: int          # round of the first sprinting second
     duration: int       # seconds spent sprinting

@@ -31,6 +31,7 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf, isfinite
+from typing import NamedTuple
 
 from .mobility import MobilityParams, PlayerKinematics
 
@@ -101,8 +102,8 @@ class FatigueCause(enum.Enum):
     DISTANCE = "distance"
 
 
-@dataclass(frozen=True)
-class FatigueEvent:
+class FatigueEvent(NamedTuple):
+    """A value record: one trigger of one player's fatigue, at ``time``."""
     player_id: int
     time: float
     cause: FatigueCause

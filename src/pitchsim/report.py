@@ -28,9 +28,8 @@ from __future__ import annotations
 import csv
 import os
 import shutil
-from dataclasses import astuple, dataclass
 from operator import is_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, RunTotals, add_counters
 from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
@@ -97,8 +96,8 @@ def write_events(events: Sequence[FatigueEvent], path: str) -> str:
         for ev in events))
 
 
-@dataclass(frozen=True)
-class ProtocolSummary:
+class ProtocolSummary(NamedTuple):
+    """A value record: one protocol's pooled totals, a summary.csv row."""
     protocol: str
     runs: int
     stability_period: Optional[float]   # mean first-death round over runs with a death
@@ -144,15 +143,15 @@ def summarize(protocol: str, runs: Sequence[RunTotals]) -> ProtocolSummary:
 def _delta_row(a: ProtocolSummary, b: ProtocolSummary) -> list:
     """``a`` minus ``b`` in every cell after ``runs``; None where either
     is undefined."""
-    _, runs, *xs = astuple(a)
-    _, _, *ys = astuple(b)
+    _, runs, *xs = a
+    _, _, *ys = b
     return ["delta", runs] + [
         None if x is None or y is None else x - y for x, y in zip(xs, ys)]
 
 
 def write_summary(summaries: Sequence[ProtocolSummary], path: str) -> str:
     """One row per protocol; paired summaries get a fame-minus-wstm delta row."""
-    rows = [astuple(s) for s in summaries]
+    rows = list(summaries)
     if len(summaries) == 2:
         rows.append(_delta_row(summaries[0], summaries[1]))
     return _write_csv(path, SUMMARY_COLUMNS, rows)
@@ -161,7 +160,7 @@ def write_summary(summaries: Sequence[ProtocolSummary], path: str) -> str:
 def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
     """Per-seed breakdown of a multi-seed comparison."""
     return _write_csv(path, PAIR_COLUMNS, (
-        (seed, s.protocol, *astuple(s)[2:]) for seed, s in rows))
+        (seed, s.protocol, *s[2:]) for seed, s in rows))
 
 
 def emit_run_reports(result: MatchResult, out_dir: str,

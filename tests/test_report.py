@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,7 +203,7 @@ def events_csvs(tmp_path, fame_events, wstm_events, monkeypatch):
 
 LACTATE = FatigueEvent(3, 100.0, FatigueCause.LACTATE, 0.0)
 DISTANCE = FatigueEvent(4, 200.0, FatigueCause.DISTANCE, 11.0)
-EQUAL_LACTATE = dataclasses.replace(LACTATE, value=-0.0)
+EQUAL_LACTATE = LACTATE._replace(value=-0.0)
 
 
 def test_pair_with_the_same_event_objects_renders_events_once(tmp_path, monkeypatch):
@@ -223,7 +222,7 @@ def test_pair_with_the_same_event_objects_renders_events_once(tmp_path, monkeypa
 ], ids=["equal-not-identical", "prefix", "longer", "empty"])
 def test_pair_with_other_event_objects_renders_each_file(tmp_path, monkeypatch,
                                                          wstm_events):
-    assert EQUAL_LACTATE == LACTATE   # frozen-dataclass ==: 0.0 == -0.0
+    assert EQUAL_LACTATE == LACTATE   # field-wise ==: 0.0 == -0.0
     fame_events = [LACTATE, DISTANCE]
     (fame, wstm), rendered = events_csvs(tmp_path, fame_events, wstm_events, monkeypatch)
     assert rendered == 2
@@ -243,7 +242,7 @@ def test_summary_shape_two_rows_plus_delta(tmp_path):
     lines = open(path).read().splitlines()
     assert len(lines) == 4  # header + 2 protocols + delta
     # the rows are the summary's fields in order, one cell each
-    assert len(dataclasses.fields(ProtocolSummary)) == len(SUMMARY_COLUMNS)
+    assert len(ProtocolSummary._fields) == len(SUMMARY_COLUMNS)
     assert lines[1].startswith("thefame,")
     assert lines[2].startswith("wstm,")
     header, fame_row, wstm_row, delta = (line.split(",") for line in lines)

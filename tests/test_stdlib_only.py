@@ -3,7 +3,10 @@ imports a third-party package, and the project declares no dependency.
 The scripts and the benchmark harness import only the standard library,
 pitchsim and the harness's own modules.
 No module uses the builtin ``sum()``, and no module imports a private
-(underscored) name from another.
+(underscored) name from another. A frozen dataclass validates its fields
+in ``__post_init__``; a frozen record that validates nothing is a
+``typing.NamedTuple``, read as the tuple it is, so no module names
+``dataclasses.astuple`` or ``asdict``.
 
 This file imports only the standard library, so it also runs without
 pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
@@ -48,12 +51,13 @@ def test_scripts_import_only_the_standard_library_and_pitchsim():
     assert not outside
 
 
-def _names_sum(node: ast.AST) -> bool:
-    """A use of the name ``sum``: read or called, ``builtins.sum``, or imported."""
+def _names(node: ast.AST, names: set[str]) -> bool:
+    """A use of one of ``names``: read or called, as an attribute
+    (``builtins.sum``), or imported."""
     if isinstance(node, (ast.Import, ast.ImportFrom)):
-        return any(alias.name == "sum" for alias in node.names)
-    return (isinstance(node, ast.Name) and node.id == "sum"
-            or isinstance(node, ast.Attribute) and node.attr == "sum")
+        return any(alias.name in names for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names)
 
 
 # From Python 3.12 on, the builtin sum() compensates float rounding, so a
@@ -61,7 +65,7 @@ def _names_sum(node: ast.AST) -> bool:
 def test_sources_never_use_sum():
     uses = [f"{path.name}:{node.lineno}" for path in SOURCES
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-            if _names_sum(node)]
+            if _names(node, {"sum"})]
     assert not uses
 
 
@@ -73,6 +77,29 @@ def test_sources_import_no_private_names():
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert not private
+
+
+def _is_frozen_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(dec, ast.Call)
+        and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "dataclass"
+        and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True
+                for kw in dec.keywords)
+        for dec in node.decorator_list)
+
+
+# One idiom per kind of record: a frozen dataclass exists to validate, and a
+# plain value record is a NamedTuple, whose fields need no deep copy to read.
+def test_frozen_dataclasses_validate_and_no_module_copies_fields():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in SOURCES}
+    unvalidated = [f"{name}: {node.name}" for name, tree in trees.items()
+                   for node in ast.walk(tree) if _is_frozen_dataclass(node)
+                   and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                               for item in node.body)]
+    copies = [f"{name}:{node.lineno}" for name, tree in trees.items()
+              for node in ast.walk(tree) if _names(node, {"astuple", "asdict"})]
+    assert (unvalidated, copies) == ([], [])
 
 
 def test_project_declares_no_dependencies():
