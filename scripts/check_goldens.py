@@ -108,10 +108,17 @@ CLI_PINS: tuple[tuple[str, str, str | None, str, tuple[str, ...]], ...] = (
      "c05175a4d03e4669fcd8876450dfc9badd06a53fc60af7f80d736070ddbbb662",
      None, "rounds = 600\nmobility.sprints_per_match = 0\n", ("compare", "--seeds", "0")),
     # Recorded before any preset reached it: with rest_multiple 0 a sprint is
-    # followed by no recovery lock at all, not by a lock of one second.
+    # followed by no recovery at all, not by a recovery of one second.
     ("NO_REST_RUN_DIGEST",
      "955b200ba9a49918362f53a09570eadea7df1797ec487b5f4251db89a1f1cbf6",
      None, "rounds = 600\nmobility.rest_multiple = 0\n", ("compare", "--seeds", "0")),
+    # Recorded before the recovery became a flag: sprints of 1-2 s at half
+    # their length give recoveries of 0.5 s and 1 s, which no preset reaches.
+    # A 0.5 s recovery still walks the whole second after its sprint.
+    ("SHORT_REST_RUN_DIGEST",
+     "af348880ea00bc2f1e83428793e74c64f276b0d75d1ff3ee03e46893664b23f2",
+     None, "rounds = 600\nmobility.sprint_min_s = 1\nmobility.sprint_max_s = 2\n"
+     "mobility.rest_multiple = 0.5\n", ("compare", "--seeds", "0")),
     # Recorded before any preset reached it: the extended layout's apron on a
     # 70-yard field is (106 * 70) / 68, one ulp off 106 * (70 / 68). A 1 J
     # thefame run with early, frequent lactate events keeps that ulp in its

@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_out() -> str:
-    return os.environ.get(OUT_ENV, "out")
+    return os.environ.get(OUT_ENV) or "out"
 
 
 def _build_parser() -> _Parser:
@@ -69,17 +69,17 @@ def _load_scenario(path: str | None) -> Scenario:
 
 
 def _parse_seeds(spec: str) -> range:
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        first, last = int(lo), int(hi)
-        if last < first:
-            raise ValueError(f"empty seed range {spec!r}")
-        # a range longer than sys.maxsize has no len()
-        if last - first >= sys.maxsize:
-            raise ValueError(f"seed range {spec!r} is too large to count")
-        return range(first, last + 1)
-    seed = int(spec)
-    return range(seed, seed + 1)
+    lo, dots, hi = spec.partition("..")
+    try:
+        first, last = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"seed range {spec!r} is not n..m or a single seed") from None
+    if last < first:
+        raise ValueError(f"empty seed range {spec!r}")
+    # a range longer than sys.maxsize has no len()
+    if last - first >= sys.maxsize:
+        raise ValueError(f"seed range {spec!r} is too large to count")
+    return range(first, last + 1)
 
 
 def _cmd_run(args) -> int:

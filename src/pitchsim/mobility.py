@@ -93,13 +93,14 @@ class PlayerKinematics:
     mode: SpeedMode = WALK
     mode_time_left: float = 0.0
     speed_kmh: float = 0.0
-    lock_time_left: float = 0.0     # remaining forced recovery; blocks sprint onset
+    recovering: bool = False        # in the walk after a sprint; blocks sprint onset
     sprint_len: float = 0.0         # drawn length of the current/last sprint
     cumulative_km: float = 0.0
 
 
 def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Random) -> None:
     # alternate walk and run; each run episode re-draws its own pace
+    k.recovering = False
     if k.mode is RUN:
         k.mode = WALK
         k.speed_kmh = p.v_walk
@@ -113,19 +114,20 @@ def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Rand
 def schedule_mode(k: PlayerKinematics, p: MobilityParams,
                   rng: random.Random) -> SpeedMode:
     """Advance the effort schedule by one second and return the mode for
-    this step."""
+    this step; ``k.recovering`` blocks sprint onsets until the walk after a
+    sprint, ``rest_multiple`` times its length, runs out."""
     mode = k.mode
     if mode is SPRINT:
         if k.mode_time_left <= 0.0:
             # sprint over: forced walking recovery, immune to new onsets
             mode = k.mode = WALK
             k.speed_kmh = p.v_walk
-            k.lock_time_left = p.rest_multiple * k.sprint_len
-            k.mode_time_left = k.lock_time_left
+            k.mode_time_left = p.rest_multiple * k.sprint_len
+            k.recovering = k.mode_time_left > 0.0
     elif k.mode_time_left <= 0.0:
         _begin_next_episode(k, p, rng)   # walk or run: ``mode`` stays not SPRINT
 
-    if mode is not SPRINT and k.lock_time_left <= 0.0:
+    if mode is not SPRINT and not k.recovering:
         hazard = p.sprint_hazard
         if hazard > 0.0 and rng.random() < hazard:
             length = float(rng.randint(p.sprint_min_s, p.sprint_max_s))
@@ -135,8 +137,6 @@ def schedule_mode(k: PlayerKinematics, p: MobilityParams,
             k.sprint_len = length
 
     k.mode_time_left -= 1.0
-    if k.lock_time_left > 0.0:
-        k.lock_time_left -= 1.0
     return k.mode
 
 

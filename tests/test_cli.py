@@ -141,6 +141,14 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(envdir, "timeseries.csv"))
 
 
+def test_empty_out_dir_environment_counts_as_unset(tmp_path, monkeypatch):
+    scenario = write(tmp_path, FAST)
+    monkeypatch.setenv("PITCHSIM_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", scenario]) == EXIT_OK
+    assert (tmp_path / "out" / "timeseries.csv").exists()
+
+
 def test_compare_writes_paired_outputs(tmp_path):
     scenario = write(tmp_path, FAST)
     out = str(tmp_path / "cmp")
@@ -330,6 +338,16 @@ def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):
               "--out", str(out)])
     assert exc.value.code == EXIT_USAGE
     assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["3..", "..3", "a", "1.5", "0..x"])
+def test_compare_unreadable_seed_range_names_it(tmp_path, capsys, spec):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", write(tmp_path, FAST),
+                 "--seeds", spec, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"pitchsim: error: seed range {spec!r} is not n..m or a single seed"]
     assert not out.exists()
 
 

@@ -198,6 +198,25 @@ def test_sprint_durations_and_recovery():
             assert gap >= 2 * a.duration
 
 
+@pytest.mark.parametrize("rest, modes", [
+    (0.0, "ssssssssssss"),
+    (0.5, "swswswswswsw"),
+    (1.3, "swwswwswwsww"),
+    (2.0, "swwswwswwsww"),
+])
+def test_recovery_walks_whole_seconds_before_the_next_onset(rest, modes):
+    # 1 s sprints with a hazard above 1: every second the recovery allows
+    # starts a sprint, so each sprint is followed by ceil(rest) walking seconds
+    params = MobilityParams(sprint_min_s=1, sprint_max_s=1,
+                            sprints_per_match=5400.0 / (1.0 + rest) - 1.0,
+                            rest_multiple=rest)
+    assert params.sprint_hazard > 1.0
+    rng = random.Random(0)
+    k = kin()
+    got = "".join(schedule_mode(k, params, rng).value[0] for _ in range(12))
+    assert got == modes
+
+
 def test_sprint_counts_near_expected():
     counts = []
     for seed in (0, 1):
