@@ -128,6 +128,35 @@ CLI_PINS: tuple[tuple[str, str, str | None, str, tuple[str, ...]], ...] = (
      None, "rounds = 300\nlactate.alpha = 0.05\nlactate.beta = 0.5\n"
      "fatigue.lactate_threshold = 1.2\nfield.width = 70\n"
      "field.sink_placement = extended\nenergy.initial_j = 1\n", ("run", "--seed", "0")),
+    # The rows below were each recorded before any preset reached their value,
+    # on 600-round compares of seed 0 with default settings otherwise. Every hop
+    # delivered: here each wstm packet that leaves its origin arrives, so its
+    # delivery_pct is exactly 100.
+    ("LOSSLESS_RUN_DIGEST",
+     "decea8ec73a246ec0aa0d9150c53fbee2d818b1722b2ad6d236c56addf474515",
+     None, "rounds = 600\ndrop_probability = 0\n", ("compare", "--seeds", "0")),
+    # Every hop dropped: packets are sent but none arrives, so throughput is 0
+    # and the mean delay is blank.
+    ("ALL_DROPPED_RUN_DIGEST",
+     "1877465d6ef505fa631c9a4e25e5006defe3a21a8e69b0e0b3a7617b5f3058c8",
+     None, "rounds = 600\ndrop_probability = 1\n", ("compare", "--seeds", "0")),
+    # One player: a home side of one and no away side.
+    ("ONE_PLAYER_RUN_DIGEST",
+     "acbd93a28ab1e31e5f0989e286edc8b6c32ab1911c1de3d2f1b016ab52f88340",
+     None, "rounds = 600\nplayers = 1\n", ("compare", "--seeds", "0")),
+    # Two players: one goalkeeper per side, mirrored about the halfway line.
+    ("TWO_PLAYER_RUN_DIGEST",
+     "4d87cc1d159a11fc3088f5f4918c0fdc7687141b32858104ee0e9c9cefd75d82",
+     None, "rounds = 600\nplayers = 2\n", ("compare", "--seeds", "0")),
+    # The first-order radio: circuitry energy not scaled by distance, on both
+    # the transmit and the relay-receive cost.
+    ("FIRST_ORDER_RUN_DIGEST",
+     "c621d75354cbdbcbf719cc08ebdc986ef12671bf9fba3bddc8d498a1d3f97bd6",
+     None, "rounds = 600\nradio.form = first-order\n", ("compare", "--seeds", "0")),
+    # A one-hop budget: wstm refuses every relayed route.
+    ("ONE_HOP_RUN_DIGEST",
+     "8de6eefc3831679e0d3df693196b881022e5497720970c202abbd2da02cd5b2b",
+     None, "rounds = 600\nwstm.max_hops = 1\n", ("compare", "--seeds", "0")),
 )
 
 # Recorded before simulate_mobility ran on a world: every player's final

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 
 from .engine import World, run_match
@@ -69,16 +70,23 @@ def _load_scenario(path: str | None) -> Scenario:
 
 
 def _parse_seeds(spec: str) -> range:
+    """``n..m`` or ``n``, each bound ASCII decimal digits only; a leading
+    ``-`` is kept for the scenario's own non-negative seed check."""
     lo, dots, hi = spec.partition("..")
-    try:
-        first, last = int(lo), int(hi if dots else lo)
-    except ValueError:
-        raise ValueError(f"seed range {spec!r} is not n..m or a single seed") from None
+    bounds = (lo, hi if dots else lo)
+    digits = [b.removeprefix("-") for b in bounds]
+    text = reprlib.repr(spec)   # one short line, however long the spec
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise ValueError(f"seed range {text} is not n..m or a single seed")
+    # a range longer than sys.maxsize has no len(); a bound with more digits
+    # than sys.maxsize is past it, so it is not converted
+    if any(len(d.lstrip("0")) > len(str(sys.maxsize)) for d in digits):
+        raise ValueError(f"seed range {text} is too large to count")
+    first, last = int(bounds[0]), int(bounds[1])
     if last < first:
-        raise ValueError(f"empty seed range {spec!r}")
-    # a range longer than sys.maxsize has no len()
+        raise ValueError(f"empty seed range {text}")
     if last - first >= sys.maxsize:
-        raise ValueError(f"seed range {spec!r} is too large to count")
+        raise ValueError(f"seed range {text} is too large to count")
     return range(first, last + 1)
 
 

@@ -341,7 +341,10 @@ def test_compare_dash_seed_range_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["3..", "..3", "a", "1.5", "0..x"])
+# only ASCII decimal digits: int() would also take spaces, a sign, underscores
+# and other scripts' digits
+@pytest.mark.parametrize("spec", ["3..", "..3", "a", "1.5", "0..x",
+                                  " 3 ", "+3", "1_000", "\u0663"])
 def test_compare_unreadable_seed_range_names_it(tmp_path, capsys, spec):
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", write(tmp_path, FAST),
@@ -352,13 +355,17 @@ def test_compare_unreadable_seed_range_names_it(tmp_path, capsys, spec):
 
 
 def test_compare_seed_range_too_large_to_count_is_a_usage_error(tmp_path, capsys):
-    out = tmp_path / "cmp"
-    assert main(["compare", "--scenario", write(tmp_path, FAST),
-                 "--seeds", "0..99999999999999999999999", "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["pitchsim: error: seed range '0..99999999999999999999999' "
-                   "is too large to count"]
-    assert not out.exists()
+    # 5000 digits are past CPython's int-string limit, so the bound is not
+    # converted, and the error line shortens it
+    scenario = write(tmp_path, FAST)
+    for spec, shown in [("0..99999999999999999999999", "'0..99999999999999999999999'"),
+                        ("0.." + "9" * 5000, "'0..999999999...9999999999999'")]:
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", scenario,
+                     "--seeds", spec, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"pitchsim: error: seed range {shown} is too large to count"]
+        assert not out.exists()
 
 
 def test_compare_memory_does_not_grow_with_the_seed_count(tmp_path):

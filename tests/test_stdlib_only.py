@@ -6,7 +6,9 @@ No module uses the builtin ``sum()``, and no module imports a private
 (underscored) name from another. A frozen dataclass validates its fields
 in ``__post_init__``; a frozen record that validates nothing is a
 ``typing.NamedTuple``, read as the tuple it is, so no module names
-``dataclasses.astuple`` or ``asdict``.
+``dataclasses.astuple`` or ``asdict``. The package itself binds only the
+library API that the README documents: six names imported from their
+modules, plus ``__version__``, so every other name has one import path.
 
 This file imports only the standard library, so it also runs without
 pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
@@ -18,6 +20,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "pitchsim").glob("*.py"))
+# the README's "Library use" section, and what it returns and raises
+API = {"Scenario", "parse_scenario", "ScenarioError", "World", "run_match", "MatchResult"}
 # scripts/ and the benchmark harness run with nothing installed; they may
 # import pitchsim and the harness's own modules.
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py")) + sorted(
@@ -100,6 +104,21 @@ def test_frozen_dataclasses_validate_and_no_module_copies_fields():
     copies = [f"{name}:{node.lineno}" for name, tree in trees.items()
               for node in ast.walk(tree) if _names(node, {"astuple", "asdict"})]
     assert (unvalidated, copies) == ([], [])
+
+
+# One import path per name: pitchsim.engine.NextHops, say, not also
+# pitchsim.NextHops, so an internal can change without an API change.
+def test_package_binds_only_the_documented_api():
+    init = ROOT / "src" / "pitchsim" / "__init__.py"
+    imported, assigned, other = [], [], []
+    for node in ast.parse(init.read_text(encoding="utf-8"), str(init)).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            assigned += [ast.unparse(target) for target in node.targets]
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            other.append(f"__init__.py:{node.lineno}")   # anything but the docstring
+    assert (sorted(imported), assigned, other) == (sorted(API), ["__version__"], [])
 
 
 def test_project_declares_no_dependencies():
