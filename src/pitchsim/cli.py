@@ -78,15 +78,15 @@ def _parse_seeds(spec: str) -> range:
     text = reprlib.repr(spec)   # one short line, however long the spec
     if not all(d.isascii() and d.isdigit() for d in digits):
         raise ValueError(f"seed range {text} is not n..m or a single seed")
-    # a range longer than sys.maxsize has no len(); a bound with more digits
-    # than sys.maxsize is past it, so it is not converted
-    if any(len(d.lstrip("0")) > len(str(sys.maxsize)) for d in digits):
-        raise ValueError(f"seed range {text} is too large to count")
-    first, last = int(bounds[0]), int(bounds[1])
+    too_large = ValueError(f"seed range {text} is too large to count")
+    try:
+        first, last = int(bounds[0]), int(bounds[1])
+    except ValueError:   # past the int-string limit, as ``run --seed`` refuses too
+        raise too_large from None
     if last < first:
         raise ValueError(f"empty seed range {text}")
-    if last - first >= sys.maxsize:
-        raise ValueError(f"seed range {text} is too large to count")
+    if last - first >= sys.maxsize:   # a range longer than sys.maxsize has no len()
+        raise too_large
     return range(first, last + 1)
 
 

@@ -6,9 +6,12 @@ into a single distance-scaled term:
     tx(k, d)            = (e_circuitry + e_amp) * k * d**2
     rx per relay (k)    = (e_circuitry + e_amp) * k
 
-so an N-hop path pays the tx term once per hop plus N-1 reception
-terms. A conventional ``first-order`` variant (circuitry energy not
-scaled by distance) is available for sanity comparisons.
+The engine charges both as it forwards a packet, per hop and per relay:
+each hop's sender pays the tx term for that hop, and each relay the rx
+term, so a delivered N-hop route costs N tx terms and N-1 rx terms.
+These two functions are the only statement of either cost. A conventional
+``first-order`` variant (circuitry energy not scaled by distance) is
+available for sanity comparisons.
 
 Units: joules, bits, yards.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable
 
 LUMPED = "lumped"
 FIRST_ORDER = "first-order"
@@ -25,10 +27,6 @@ FIRST_ORDER = "first-order"
 
 class NegativeInputError(ValueError):
     """Bit count or distance below zero."""
-
-
-class InvalidHopCountError(ValueError):
-    """Reception cost queried for fewer than one hop."""
 
 
 @dataclass(frozen=True)
@@ -56,34 +54,12 @@ def direct_tx_energy(m: RadioModel, k: float, d: float) -> float:
     return (m.e_circuitry + m.e_amp) * k * d * d
 
 
-def multihop_tx_energy(m: RadioModel, k: float, hop_distances: Iterable[float]) -> float:
-    """Total transmit energy over a hop sequence (sum of per-hop costs)."""
-    total = 0.0
-    for d in hop_distances:
-        total += direct_tx_energy(m, k, d)
-    return total
-
-
 def relay_rx_energy(m: RadioModel, k: float) -> float:
     """Reception cost paid by a single relay, independent of distance."""
     if k < 0:
         raise NegativeInputError(f"k={k}")
     coeff = m.e_circuitry if m.form == FIRST_ORDER else m.e_circuitry + m.e_amp
     return coeff * k
-
-
-def multihop_rx_energy(m: RadioModel, k: float, n_hops: int) -> float:
-    """Total reception energy on an N-hop path: one receipt per relay."""
-    if n_hops < 1:
-        raise InvalidHopCountError(f"n_hops={n_hops}")
-    return (n_hops - 1) * relay_rx_energy(m, k)
-
-
-def multihop_total_energy(m: RadioModel, k: float, hop_distances: list[float]) -> float:
-    """Transmit plus reception energy for a full path; empty path costs nothing."""
-    if not hop_distances:
-        return 0.0
-    return multihop_tx_energy(m, k, hop_distances) + multihop_rx_energy(m, k, len(hop_distances))
 
 
 @dataclass

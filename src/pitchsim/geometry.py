@@ -27,11 +27,6 @@ class Point:
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance in yards."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """Pitch dimensions plus an ordered set of (sink_id, position) pairs."""
@@ -84,8 +79,7 @@ def nearest_sink_xy(x: float, y: float,
     """Return (sink_id, distance, position) of the sink closest to
     ``(x, y)``; ties go to the lowest id.
 
-    The distance is ``distance(Point(x, y), pos)`` bit for bit, without
-    building the Point.
+    The distance, in yards, is ``math.hypot(x - pos.x, y - pos.y)``.
     """
     if not field.sinks:
         raise EmptySinkSetError("field has no sinks")

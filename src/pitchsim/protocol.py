@@ -18,8 +18,8 @@ route too long for the budget is never kept as a refusal, since
 ``len(hops) > max_hops``. To find whether some alive player is nearer
 than its sink, a holder first tries the sink's nearest alive player,
 whose distance is also the relay hop's, and scans the alive list only
-when that one is no witness. Distances equal ``geometry.distance`` bit
-for bit, with no ``Point`` built; a holder's own is
+when that one is no witness. Each distance is ``math.hypot`` of the
+coordinate differences, with no ``Point`` built; a holder's own is
 ``nearest_sink_xy``'s, so it never relays to itself. ``Hop``
 and ``Route`` are value records (NamedTuples). Only the routing rules
 here and ``scenario.check_report_bounds`` build routes, so a route's

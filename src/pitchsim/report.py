@@ -20,7 +20,8 @@ quoting, ``.`` decimal separator, ``None`` as a blank cell and floats
 via ``repr``, so parsing a file back reproduces the values exactly.
 Each value's text is rendered once: ``build_rows`` streams float cells as
 ``repr`` text, and a pair with the same event objects copies events.csv.
-Undefined ratios are ``None`` and so blank, never 0 or 100.
+Undefined ratios are ``None`` and so blank, never 0 or 100;
+``throughput_pct`` itself returns ``None`` when nothing was transmitted.
 """
 
 from __future__ import annotations
@@ -43,18 +44,13 @@ EVENT_COLUMNS = ["player_id", "time_s", "cause", "value", "value_mgdl"]
 PAIR_COLUMNS = ["seed", SUMMARY_COLUMNS[0], *SUMMARY_COLUMNS[2:]]
 
 
-class UndefinedThroughputError(ValueError):
-    """Throughput asked for with zero transmissions."""
-
-
-def throughput_pct(received: int, transmitted: int) -> float:
-    """Delivered packets as a percentage of transmitted packets."""
+def throughput_pct(received: int, transmitted: int) -> Optional[float]:
+    """Delivered packets as a percentage of transmitted packets; None when
+    nothing was transmitted, where the ratio is undefined."""
     if not 0 <= received <= transmitted:
         raise ValueError(f"need transmitted >= received >= 0, "
                          f"got received={received}, transmitted={transmitted}")
-    if transmitted == 0:
-        raise UndefinedThroughputError("no transmissions")
-    return 100.0 * received / transmitted
+    return 100.0 * received / transmitted if transmitted else None
 
 
 def build_rows(log: MetricsLog) -> Iterator[tuple]:
@@ -128,8 +124,8 @@ def summarize(protocol: str, runs: Sequence[RunTotals]) -> ProtocolSummary:
         protocol=protocol,
         runs=len(runs),
         stability_period=death_sum / deaths if deaths else None,
-        throughput=throughput_pct(received, sent_hops) if sent_hops else None,
-        delivery=throughput_pct(received, sent_packets) if sent_packets else None,
+        throughput=throughput_pct(received, sent_hops),
+        delivery=throughput_pct(received, sent_packets),
         mean_delay_s=delay_sum / received if received else None,
         sent_hops=sent_hops,
         sent_packets=sent_packets,

@@ -21,16 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 from pitchsim.channel import ChannelParams, transmit_hop
 from pitchsim.cli import _paired_runs, main as cli_main
-from pitchsim.energy import Battery, RadioModel, direct_tx_energy, \
-    multihop_rx_energy, multihop_total_energy, multihop_tx_energy
+from pitchsim.energy import Battery, RadioModel, direct_tx_energy, relay_rx_energy
 from pitchsim.engine import run_match, simulate_mobility
-from pitchsim.geometry import FieldConfig, Point, distance
+from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import MobilityParams
 from pitchsim.report import summarize, throughput_pct
 from pitchsim.scenario import Scenario, parse_scenario
 from pitchsim.seeding import stream
 
 import workloads  # the benchmark's output check
+from test_geometry import distance
 from test_protocol import _oracle_greedy, player, table
 from pitchsim.protocol import wstm_route
 
@@ -71,15 +71,16 @@ def test_criterion_1_equation_fidelity():
             (direct_tx_energy(default, 0, 50), 0.0),
             (direct_tx_energy(half, 1, 1), 1.0),
             (direct_tx_energy(unit, 2, 10), 200.0),
-            (multihop_tx_energy(unit, 1, [10, 10, 10]), 300.0),
-            (multihop_tx_energy(unit, 1, []), 0.0),
-            (multihop_tx_energy(unit, 4, [1, 2, 3]), 4.0 * (1 + 4 + 9)),
-            (multihop_rx_energy(unit, 7, 1), 0.0),
-            (multihop_rx_energy(unit, 7, 4), 21.0),
-            (multihop_rx_energy(half, 0, 2), 0.0),
-            (multihop_total_energy(unit, 1, [10, 10, 10]), 302.0),
-            (multihop_total_energy(unit, 1, [5]), 25.0),
-            (multihop_total_energy(unit, 1, []), 0.0),
+            # per hop and per relay: the engine charges each as it forwards
+            (direct_tx_energy(unit, 1, 10), 100.0),
+            (direct_tx_energy(unit, 1, 0), 0.0),
+            (direct_tx_energy(unit, 4, 1), 4.0),
+            (direct_tx_energy(unit, 4, 2), 16.0),
+            (direct_tx_energy(unit, 4, 3), 36.0),
+            (direct_tx_energy(unit, 1, 5), 25.0),
+            (relay_rx_energy(unit, 7), 7.0),
+            (relay_rx_energy(unit, 1), 1.0),
+            (relay_rx_energy(half, 0), 0.0),
             (throughput_pct(70, 100), 70.0),
             (throughput_pct(0, 100), 0.0),
             (throughput_pct(5, 5), 100.0),
@@ -90,15 +91,10 @@ def test_criterion_1_equation_fidelity():
 
         rel_vectors = [
             (direct_tx_energy(default, 1024, 50), 1.28256e-1),
-            (multihop_rx_energy(picky, 1024, 3), 2.048e-6),
-            (multihop_tx_energy(default, 1024, [50, 50]), 2 * 1.28256e-1),
+            (relay_rx_energy(picky, 1024), 1.024e-6),
         ]
         for got, want in rel_vectors:
             assert abs(got - want) / want < 1e-12
-
-        # single-hop reductions: relayed forms collapse onto the direct form
-        assert multihop_total_energy(default, 1024, [37.0]) == \
-            direct_tx_energy(default, 1024, 37.0)
 
 
 # --- 2. channel statistics ------------------------------------------------

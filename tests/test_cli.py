@@ -355,8 +355,8 @@ def test_compare_unreadable_seed_range_names_it(tmp_path, capsys, spec):
 
 
 def test_compare_seed_range_too_large_to_count_is_a_usage_error(tmp_path, capsys):
-    # 5000 digits are past CPython's int-string limit, so the bound is not
-    # converted, and the error line shortens it
+    # 5000 digits are past CPython's int-string limit, so int() refuses the
+    # bound, and the error line shortens it
     scenario = write(tmp_path, FAST)
     for spec, shown in [("0..99999999999999999999999", "'0..99999999999999999999999'"),
                         ("0.." + "9" * 5000, "'0..999999999...9999999999999'")]:
@@ -366,6 +366,25 @@ def test_compare_seed_range_too_large_to_count_is_a_usage_error(tmp_path, capsys
         err = capsys.readouterr().err.splitlines()
         assert err == [f"pitchsim: error: seed range {shown} is too large to count"]
         assert not out.exists()
+
+
+# a seed of 20 digits is past sys.maxsize, but a range of one or two of
+# them is not too large to count
+@pytest.mark.parametrize("spec, seeds", [
+    ("12345678901234567890", [12345678901234567890]),
+    ("12345678901234567890..12345678901234567891",
+     [12345678901234567890, 12345678901234567891]),
+])
+def test_compare_takes_every_seed_run_takes(tmp_path, capsys, spec, seeds):
+    scenario = write(tmp_path, FAST)
+    assert main(["run", "--scenario", scenario, "--seed", str(seeds[0]),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario, "--seeds", spec,
+                 "--out", str(out)]) == EXIT_OK
+    assert f"compared {len(seeds)} paired seeds" in capsys.readouterr().out
+    with open(out / "pairs.csv", newline="") as fh:
+        assert [int(row["seed"]) for row in csv.DictReader(fh)] == seeds * 2   # per protocol
 
 
 def test_compare_memory_does_not_grow_with_the_seed_count(tmp_path):

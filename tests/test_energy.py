@@ -4,12 +4,9 @@ import struct
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pitchsim.energy import (FIRST_ORDER, Battery, InvalidHopCountError,
-                             NegativeInputError, RadioModel, direct_tx_energy,
-                             multihop_rx_energy, multihop_total_energy,
-                             multihop_tx_energy, relay_rx_energy)
+from pitchsim.energy import (FIRST_ORDER, Battery, NegativeInputError, RadioModel,
+                             direct_tx_energy, relay_rx_energy)
 
-UNIT = RadioModel(e_circuitry=1.0, e_amp=0.0)
 DEFAULT = RadioModel()
 
 
@@ -39,63 +36,6 @@ def test_direct_negative_inputs():
         direct_tx_energy(DEFAULT, 10, -1)
 
 
-def test_multihop_tx_single_hop_equals_direct():
-    assert multihop_tx_energy(DEFAULT, 1024, [37.0]) == direct_tx_energy(DEFAULT, 1024, 37.0)
-
-
-def test_multihop_tx_equal_hops():
-    assert multihop_tx_energy(UNIT, 1, [10, 10, 10]) == 300.0
-
-
-def test_multihop_tx_empty():
-    assert multihop_tx_energy(DEFAULT, 1024, []) == 0.0
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_multihop_tx_matches_closed_form_for_equal_hops(n):
-    # integer-representable inputs keep the sum exact
-    d = 10.0
-    assert multihop_tx_energy(UNIT, 1, [d] * n) == n * direct_tx_energy(UNIT, 1, d)
-
-
-def test_multihop_rx_single_hop():
-    assert multihop_rx_energy(DEFAULT, 1024, 1) == 0.0
-
-
-def test_multihop_rx_hand_evaluated():
-    # (3-1) * 1e-9 * 1024 = 2.048e-6
-    m = RadioModel(e_circuitry=9e-10, e_amp=1e-10)
-    assert rel_err(multihop_rx_energy(m, 1024, 3), 2.048e-6) < 1e-12
-
-
-def test_multihop_rx_zero_bits():
-    assert multihop_rx_energy(DEFAULT, 0, 2) == 0.0
-
-
-def test_multihop_rx_invalid_hop_count():
-    with pytest.raises(InvalidHopCountError):
-        multihop_rx_energy(DEFAULT, 1024, 0)
-
-
-def test_total_single_hop_equals_direct():
-    assert multihop_total_energy(DEFAULT, 1024, [12.0]) == direct_tx_energy(DEFAULT, 1024, 12.0)
-
-
-def test_total_equal_hops_hand_evaluated():
-    # 3 hops of 10 at unit constants: 3*100 transmit + 2*1 receive
-    assert multihop_total_energy(UNIT, 1, [10, 10, 10]) == 302.0
-
-
-def test_total_empty_path():
-    assert multihop_total_energy(DEFAULT, 1024, []) == 0.0
-
-
-def test_total_with_equal_hops_never_beats_direct_at_same_hop_distance():
-    for n in range(2, 8):
-        total = multihop_total_energy(UNIT, 1, [10.0] * n)
-        assert total >= direct_tx_energy(UNIT, 1, 10.0)
-
-
 def test_first_order_variant_splits_circuitry():
     m = RadioModel(e_circuitry=2.0, e_amp=3.0, form=FIRST_ORDER)
     assert direct_tx_energy(m, 1, 2) == 2.0 + 3.0 * 4.0
@@ -113,13 +53,10 @@ def test_doubling_bits_doubles_energy(k, d):
     assert direct_tx_energy(DEFAULT, 2 * k, d) == 2 * direct_tx_energy(DEFAULT, k, d)
 
 
-@given(bits, st.lists(dists, max_size=6))
-def test_doubling_distance_quadruples_tx_leaves_rx_alone(k, hops):
-    tx = multihop_tx_energy(DEFAULT, k, hops)
-    assert multihop_tx_energy(DEFAULT, k, [2 * d for d in hops]) == 4 * tx
-    if hops:
-        n = len(hops)
-        assert multihop_rx_energy(DEFAULT, k, n) == multihop_rx_energy(DEFAULT, k, n)
+# a relay's receive cost takes no distance, so only the hop's send grows
+@given(bits, dists)
+def test_doubling_distance_quadruples_tx_leaves_rx_alone(k, d):
+    assert direct_tx_energy(DEFAULT, k, 2 * d) == 4 * direct_tx_energy(DEFAULT, k, d)
 
 
 def test_battery_simple_debit():

@@ -6,7 +6,8 @@ import pytest
 
 from pitchsim import engine
 from pitchsim.channel import ChannelParams
-from pitchsim.energy import Battery, RadioModel, direct_tx_energy
+from pitchsim.energy import (FIRST_ORDER, LUMPED, Battery, RadioModel, direct_tx_energy,
+                             relay_rx_energy)
 from pitchsim.engine import (Delivery, MatchSim, RoundRecord, World, aggregate,
                              run_match, simulate_mobility)
 from pitchsim.geometry import nearest_sink_xy
@@ -500,3 +501,37 @@ def test_thefame_debits_only_its_origins(after_wstm):
                 want = []
             assert debits[before[p]:] == want
     assert packets > 200 and not sim.metrics.deaths
+
+
+@pytest.mark.parametrize("form", [LUMPED, FIRST_ORDER])
+def test_wstm_debits_are_its_routes_costs(form, monkeypatch):
+    # lossless and never short of energy, so every found route is sent to
+    # its sink: each hop's sender pays the hop, each relay its receive
+    scenario = small("wstm", initial_energy_j=1000.0, radio=RadioModel(form=form),
+                     channel=ChannelParams(drop_probability=0.0))
+    sim = MatchSim(scenario)
+    radio, bits = scenario.radio, scenario.radio.packet_bits
+    route, routes = engine.wstm_route, []
+    relayed = 0
+
+    def recorded(*args):
+        found = route(*args)
+        if found is not None:
+            routes.append(found)
+        return found
+
+    monkeypatch.setattr(engine, "wstm_route", recorded)
+    for _ in range(scenario.rounds):
+        before = {p: len(d) for p, d in sim.metrics.debits.items()}
+        routes.clear()
+        sim.run_round()
+        want = {p: [] for p in before}
+        for found in routes:   # in packet order
+            relayed += found.n_hops > 1
+            for hop in found.hops:
+                want[hop.src].append(direct_tx_energy(radio, bits, hop.dist))
+                if hop.dst_player is not None:
+                    want[hop.dst_player].append(relay_rx_energy(radio, bits))
+        for p, debits in sim.metrics.debits.items():
+            assert debits[before[p]:] == want[p]
+    assert relayed > 100 and not sim.metrics.deaths

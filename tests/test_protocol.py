@@ -7,11 +7,11 @@ from typing import NamedTuple
 
 import pytest
 
-from pitchsim.geometry import (EmptySinkSetError, FieldConfig, Point, distance,
-                               nearest_sink_xy)
+from pitchsim.geometry import EmptySinkSetError, FieldConfig, Point, nearest_sink_xy
 from pitchsim.physiology import FatigueCause, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, NextHops, Route,
                                thefame_route, trigger_transmissions, wstm_route)
+from test_geometry import distance
 
 SIX = FieldConfig.six_sinks()
 TWO = FieldConfig.goal_sinks()

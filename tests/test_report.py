@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pitchsim import report
 from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, RunTotals, run_match
 from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
-from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary,
-                             TIMESERIES_COLUMNS, UndefinedThroughputError,
+from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary, TIMESERIES_COLUMNS,
                              build_rows, emit_comparison_reports, summarize,
                              throughput_pct, write_events, write_summary,
                              write_timeseries)
@@ -27,8 +26,7 @@ def test_throughput_lossless():
 
 
 def test_throughput_undefined_when_nothing_transmitted():
-    with pytest.raises(UndefinedThroughputError):
-        throughput_pct(0, 0)
+    assert throughput_pct(0, 0) is None
 
 
 def test_throughput_rejects_bad_counts():

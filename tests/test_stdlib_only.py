@@ -9,6 +9,9 @@ in ``__post_init__``; a frozen record that validates nothing is a
 ``dataclasses.astuple`` or ``asdict``. The package itself binds only the
 library API that the README documents: six names imported from their
 modules, plus ``__version__``, so every other name has one import path.
+Each top-level function and class of the package is named by a module of
+the package, the scripts or the benchmark harness, so no definition is
+kept alive by tests alone.
 
 This file imports only the standard library, so it also runs without
 pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
@@ -119,6 +122,30 @@ def test_package_binds_only_the_documented_api():
         elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
             other.append(f"__init__.py:{node.lineno}")   # anything but the docstring
     assert (sorted(imported), assigned, other) == (sorted(API), ["__version__"], [])
+
+
+def _loaded_names(path: Path) -> set[str]:
+    """Every name ``path`` reads, as a name or an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+# One statement of each thing: a definition that no program path names is
+# a copy or a leftover, however well its tests pass.
+def test_every_definition_is_named_by_a_program_module():
+    named = set().union(*map(_loaded_names, SOURCES + SCRIPTS))
+    unnamed = [f"{path.name}: {node.name}" for path in SOURCES
+               for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in named]
+    assert not unnamed
 
 
 def test_project_declares_no_dependencies():
