@@ -11,7 +11,7 @@ import statistics
 import sys
 
 from pitchsim.engine import simulate_mobility
-from pitchsim.scenario import Scenario
+from pitchsim.scenario import Scenario, ScenarioError
 
 
 def main(argv=None):
@@ -20,13 +20,18 @@ def main(argv=None):
     parser.add_argument("--players", type=int, default=22)
     parser.add_argument("--rounds", type=int, default=5400)
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+    try:
+        scenario = Scenario(players=args.players, rounds=args.rounds)
+    except ScenarioError as exc:
+        parser.error(str(exc))
 
     distances = []
     sprint_counts = []
     crossings = []
     for seed in range(args.seeds):
-        run = simulate_mobility(Scenario(players=args.players, rounds=args.rounds,
-                                         seed=seed))
+        run = simulate_mobility(scenario.with_seed(seed))
         per_player = {k.player_id: 0 for k in run.players}
         for ep in run.sprints:
             per_player[ep.player_id] += 1

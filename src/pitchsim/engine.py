@@ -1,5 +1,5 @@
-"""Round-based simulation loop, the sink-side aggregation unit, and the
-movement-only run built on the world.
+"""Round-based simulation loop and the movement-only run built on the
+world.
 
 Each round (one second of match time) runs, in order: group reference
 and player movement, lactate update, fatigue check, packet triggering,
@@ -7,7 +7,7 @@ routing, per-hop channel trials with energy debits, metrics recording.
 
 Accounting is two-level. Hop level: every hop attempt is one send and
 ends as either a hop delivery or a drop. Packet level: the trigger
-returns origins, numbered in that order, and ``MatchSim._send`` alone
+returns origins, sent in that order, and ``MatchSim._send`` alone
 decides each packet's fate: delivered (reached a sink), dropped (a hop
 lost it), or routing-failed (an origin dead earlier in the round, no
 route, or a relay drained by its own receive). ``add_counters`` is the
@@ -68,7 +68,6 @@ calibration and tests, and logs sprint episodes from each player's
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from dataclasses import dataclass, field, fields
@@ -122,16 +121,6 @@ class RunTotals(NamedTuple):
     final_residual_j: float
 
 
-class Delivery(NamedTuple):
-    """One packet landing at a sink."""
-    time: float          # sending round + end-to-end delay
-    packet_id: int
-    sink_id: int
-    origin: int
-    round: int
-    delay: float
-
-
 @dataclass
 class MetricsLog:
     initial_energy_j: float
@@ -162,7 +151,6 @@ def add_counters(records) -> tuple:
 class MatchResult:
     scenario: Scenario
     metrics: MetricsLog
-    feed: list[Delivery]
     events: list[FatigueEvent]
     totals: RunTotals
     early_stop_round: int | None = None
@@ -264,8 +252,6 @@ class MatchSim:
         # a debit kills it
         self.alive = list(players)
         self.events: list[FatigueEvent] = []
-        self.feed: list[Delivery] = []
-        self._ids = itertools.count(1)
         self._round = 0
         self._residual: float | None = None   # residual_total(); _debit clears it
         self._hops: NextHops | None = None    # wstm routes of this round's snapshot
@@ -285,7 +271,7 @@ class MatchSim:
     def run_round(self) -> RoundRecord:
         self._round += 1
         t = self._round
-        rec = RoundRecord(t, 0)   # round, alive; positional, as Delivery below
+        rec = RoundRecord(t, 0)   # round, alive
 
         world = self.world
         if t > world.round:
@@ -306,15 +292,14 @@ class MatchSim:
             rec.triggered = len(origins)
             self._hops = None
             for origin in origins:
-                self._send(next(self._ids), origin, xs, ys, rec)
+                self._send(origin, xs, ys, rec)
 
         rec.alive = self.alive_count()
         rec.residual_j = self.residual_total()
         self.metrics.rounds.append(rec)
         return rec
 
-    def _send(self, packet_id: int, origin: int, xs: array, ys: array,
-              rec: RoundRecord) -> None:
+    def _send(self, origin: int, xs: array, ys: array, rec: RoundRecord) -> None:
         if self.batteries[origin].dead:   # died relaying earlier traffic this round
             route = None
         elif self.scenario.protocol == THEFAME:
@@ -334,12 +319,8 @@ class MatchSim:
                     rec.hop_drops += 1
                     return
                 if hop.dst_player is None:
-                    delay = propagation_delay(channel, route, bits)
-                    # positional: keywords cost about twice as much per record
-                    self.feed.append(Delivery(t + delay, packet_id, hop.dst_sink, origin,
-                                              t, delay))
                     rec.received += 1
-                    rec.delay_sum += delay
+                    rec.delay_sum += propagation_delay(channel, route, bits)
                     return
                 # alive: routed over self.alive, and sink distance strictly falls per hop
                 if self._debit(hop.dst_player, self.relay_rx_j, t):
@@ -376,7 +357,6 @@ class MatchSim:
         return MatchResult(
             scenario=self.scenario,
             metrics=m,
-            feed=aggregate(self.feed),
             events=self.events,
             totals=RunTotals(*add_counters(m.rounds), m.deaths[0][1] if m.deaths else None,
                              m.rounds[-1].residual_j),
@@ -389,17 +369,6 @@ class MatchSim:
 def run_match(scenario: Scenario, world: World | None = None) -> MatchResult:
     """Simulate one full match for one protocol, on ``world`` if given."""
     return MatchSim(scenario, world).run()
-
-
-def aggregate(deliveries: list[Delivery]) -> list[Delivery]:
-    """The sink-side aggregation unit: one feed over every sink, ordered
-    by delivery time, ties by packet id.
-
-    Deliveries arrive in packet order; within a round arrival times differ
-    by hop count. Packet ids are unique, so the tuples' own order is
-    ``(time, packet_id)``.
-    """
-    return sorted(deliveries)
 
 
 def move_players(group: GroupReference, players: list[PlayerKinematics],

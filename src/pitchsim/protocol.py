@@ -30,7 +30,7 @@ snapshot's two axes, ``xs`` and ``ys``, indexed by player id.
 
 The protocol name (``Scenario.protocol``) is the whole protocol
 identity: it fixes the trigger, the sink preset and the routing rule.
-A trigger returns only packet origins; the engine numbers the packets.
+A trigger returns only packet origins; the engine sends each in turn.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -5,11 +6,10 @@ from pathlib import Path
 import pytest
 
 from pitchsim import engine
-from pitchsim.channel import ChannelParams
+from pitchsim.channel import ChannelParams, propagation_delay
 from pitchsim.energy import (FIRST_ORDER, LUMPED, Battery, RadioModel, direct_tx_energy,
                              relay_rx_energy)
-from pitchsim.engine import (Delivery, MatchSim, RoundRecord, World, aggregate,
-                             run_match, simulate_mobility)
+from pitchsim.engine import MatchSim, RoundRecord, World, run_match, simulate_mobility
 from pitchsim.geometry import nearest_sink_xy
 from pitchsim.mobility import MobilityParams
 from pitchsim.physiology import FatigueThresholds, LactateParams
@@ -51,7 +51,6 @@ def test_rerun_is_bitwise_identical():
     assert a.metrics.rounds == b.metrics.rounds
     assert a.metrics.deaths == b.metrics.deaths
     assert a.metrics.debits == b.metrics.debits
-    assert a.feed == b.feed
     assert a.events == b.events
 
 
@@ -170,67 +169,23 @@ def test_early_stop_pads_all_dead_rows():
     assert all(rec.alive == 0 and rec.residual_j == 0.0 for rec in tail)
 
 
-def d(time, pid, sink=1):
-    return Delivery(time=time, packet_id=pid, sink_id=sink, origin=0, round=1,
-                    delay=0.0)
+@pytest.mark.parametrize("scenario, sinks", [
+    (small("wstm", rounds=400, initial_energy_j=5.0), {1, 2}),
+    (stress(), {1, 2, 3, 4, 5, 6}),
+], ids=["wstm-5j", "thefame-stress"])
+def test_every_delivered_packet_is_timed_once(scenario, sinks, monkeypatch):
+    # the engine times a packet when, and only when, it reaches a sink
+    delivered, delays = [], []
 
-
-def test_aggregate_single_sink_identity():
-    feed = [d(1.0, 1), d(2.0, 2)]
-    assert aggregate(feed) == feed
-
-
-def test_aggregate_interleaves_sorted_streams():
-    a = [d(1.0, 1), d(3.0, 3)]
-    b = [d(2.0, 2, sink=2), d(4.0, 4, sink=2)]
-    merged = aggregate(a + b)
-    assert [x.packet_id for x in merged] == [1, 2, 3, 4]
-
-
-def test_aggregate_ties_by_packet_id():
-    a = [d(1.0, 7)]
-    b = [d(1.0, 2, sink=2)]
-    merged = aggregate(a + b)
-    assert [x.packet_id for x in merged] == [2, 7]
-
-
-def test_aggregate_conserves_length():
-    a = [d(float(i), i) for i in range(5)]
-    b = [d(float(i) + 0.5, 100 + i, sink=2) for i in range(7)]
-    assert len(aggregate(a + b)) == 12
-
-
-def test_feed_is_time_ordered_in_real_runs():
-    result = run_match(small("wstm", rounds=400, initial_energy_j=5.0))
-    feed = result.feed
-    # one feed over every sink, one entry per delivered packet
-    assert {x.sink_id for x in feed} == {1, 2}
-    assert len(feed) == result.totals.received
-    assert len({x.packet_id for x in feed}) == len(feed)
-    keys = [(x.time, x.packet_id) for x in feed]
-    assert keys == sorted(keys)
-
-
-@pytest.mark.parametrize("scenario", [small("wstm", initial_energy_j=0.002), stress()],
-                         ids=["wstm-0.002j", "thefame-stress"])
-def test_packet_ids_number_every_triggered_packet(scenario):
-    # wstm at 0.002 J fails packets of dead origins, of drained relays and
-    # of greedy dead ends; each one still takes its number, so a delivered
-    # id lies among the ids triggered in the delivery's own round
+    def timed(channel, route, bits):
+        delivered.append(route)
+        delays.append(propagation_delay(channel, route, bits))
+        return delays[-1]
+    monkeypatch.setattr(engine, "propagation_delay", timed)
     result = run_match(scenario)
-    rounds = result.metrics.rounds
-    before = [0]         # before[t - 1]: packets triggered before round t
-    for rec in rounds:
-        before.append(before[-1] + rec.triggered)
-    ids = [x.packet_id for x in result.feed]
-    assert ids and len(set(ids)) == len(ids)
-    for x in result.feed:
-        assert before[x.round - 1] < x.packet_id <= before[x.round]
-    if scenario.protocol == "wstm":
-        # failures precede some delivery, so numbering only routed packets
-        # would shift that delivery's id below its round's range
-        first_failure = next(r.round for r in rounds if r.routing_failures)
-        assert any(x.round > first_failure for x in result.feed)
+    assert len(delivered) == result.totals.received
+    assert {route.hops[-1].dst_sink for route in delivered} == sinks
+    assert result.totals.delay_sum == pytest.approx(math.fsum(delays))
 
 
 def test_simulate_mobility_ends_where_the_match_does():
@@ -390,7 +345,6 @@ def test_shared_world_gives_the_results_of_private_worlds(case, order):
         assert a.metrics.rounds == b.metrics.rounds
         assert a.metrics.deaths == b.metrics.deaths
         assert a.metrics.debits == b.metrics.debits
-        assert a.feed == b.feed
         assert a.events == b.events
         assert a.early_stop_round == b.early_stop_round
         # a node's events count up to and including the round it dies in

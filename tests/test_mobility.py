@@ -299,3 +299,15 @@ def test_calibration_script_runs(capsys):
     assert lines[0] == "seeds=1 players=22 rounds=200"
     assert [line.split(":")[0] for line in lines[1:]] == [
         "distance km", "crossed 11 km", "sprints per player"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--players", "0"], "players must be in [1, 24]"),
+    (["--rounds", "0"], "rounds must be positive"),
+], ids=["no-seeds", "no-players", "no-rounds"])
+def test_calibration_script_bad_input_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        calibrate_mobility.main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")

@@ -1,11 +1,11 @@
 """The README's "Library use" section is the package's documented API: its
 Python examples run as written, and every name it says ``pitchsim``
-exports is there."""
+exports is there. It imports no pytest, so the goldens workflow runs the
+examples through ``run_example`` under each supported Python with nothing
+installed."""
 
 import re
 from pathlib import Path
-
-import pytest
 
 import pitchsim
 
@@ -16,14 +16,23 @@ SECTION = re.search(r"^## Library use\n(.*?)(?=^## |\Z)",
 EXAMPLES = re.findall(r"^```python\n(.*?)^```$", SECTION, re.MULTILINE | re.DOTALL)
 
 
+def run_example(source):
+    exec(compile(source, "README.md", "exec"), {})
+
+
+def pytest_generate_tests(metafunc):
+    if "source" in metafunc.fixturenames:
+        metafunc.parametrize("source", EXAMPLES,
+                             ids=[f"example{i}" for i in range(len(EXAMPLES))])
+
+
 def test_the_section_has_its_examples():
     assert EXAMPLES   # else the examples' test below would run on none
 
 
-@pytest.mark.parametrize("source", EXAMPLES, ids=[f"example{i}" for i in range(len(EXAMPLES))])
 def test_library_example_runs(source, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)   # the examples' paths are relative to the checkout
-    exec(compile(source, "README.md", "exec"), {})
+    run_example(source)
     assert capsys.readouterr().out
 
 

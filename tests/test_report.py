@@ -176,7 +176,7 @@ def test_events_csv_units(tmp_path):
 def one_round_result(protocol, events):
     return MatchResult(scenario=Scenario(protocol=protocol),
                        metrics=MetricsLog(1.0, [RoundRecord(1, 22, residual_j=1.0)]),
-                       feed=[], events=events,
+                       events=events,
                        totals=RunTotals(0, 0, 0, 0, 0, 0, 0.0, None, 1.0))
 
 

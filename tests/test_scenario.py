@@ -232,7 +232,7 @@ def _paired_fingerprint(settings):
     world = World(scenario, record_trajectory=True, record_lactate=True)
     other = "wstm" if scenario.protocol == "thefame" else "thefame"
     runs = [run_match(s, world) for s in (scenario, scenario.with_protocol(other))]
-    return ([(r.metrics.rounds, r.metrics.debits, r.metrics.deaths, r.feed, r.events)
+    return ([(r.metrics.rounds, r.metrics.debits, r.metrics.deaths, r.events)
              for r in runs], world.trajectory, world.lactate_trace)
 
 
@@ -330,7 +330,7 @@ def test_channel_keys_leave_thefame_debits_and_deaths(key, probe_thefame):
 def test_wstm_keys_leave_a_thefame_match(key, probe_thefame):
     r = run_match(_with_key(PROBE, key, ALTERNATES[key]))
     p = probe_thefame
-    assert (r.metrics, r.events, r.feed, r.totals) == (p.metrics, p.events, p.feed, p.totals)
+    assert (r.metrics, r.events, r.totals) == (p.metrics, p.events, p.totals)
 
 
 def test_invalid_radio_form():
