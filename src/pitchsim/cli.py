@@ -94,10 +94,12 @@ def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
+    out_dir = args.out or _default_out()
+    os.makedirs(out_dir, exist_ok=True)   # an unusable --out fails before the match
     world = World(scenario, record_trajectory=args.dump_trajectory,
                   record_lactate=args.dump_lactate)
     result = run_match(scenario, world=world)
-    paths = emit_run_reports(result, args.out or _default_out())
+    paths = emit_run_reports(result, out_dir)
     last = result.metrics.rounds[-1]
     print(f"{scenario.protocol} seed={scenario.seed}: "
           f"{len(result.metrics.rounds)} rounds, alive={last.alive}, "

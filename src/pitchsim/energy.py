@@ -25,10 +25,6 @@ LUMPED = "lumped"
 FIRST_ORDER = "first-order"
 
 
-class NegativeInputError(ValueError):
-    """Bit count or distance below zero."""
-
-
 @dataclass(frozen=True)
 class RadioModel:
     e_circuitry: float = 50e-9   # J/bit
@@ -47,8 +43,6 @@ class RadioModel:
 
 def direct_tx_energy(m: RadioModel, k: float, d: float) -> float:
     """Energy to transmit k bits over one hop of d yards."""
-    if k < 0 or d < 0:
-        raise NegativeInputError(f"k={k}, d={d}")
     if m.form == FIRST_ORDER:
         return m.e_circuitry * k + m.e_amp * k * d * d
     return (m.e_circuitry + m.e_amp) * k * d * d
@@ -56,8 +50,6 @@ def direct_tx_energy(m: RadioModel, k: float, d: float) -> float:
 
 def relay_rx_energy(m: RadioModel, k: float) -> float:
     """Reception cost paid by a single relay, independent of distance."""
-    if k < 0:
-        raise NegativeInputError(f"k={k}")
     coeff = m.e_circuitry if m.form == FIRST_ORDER else m.e_circuitry + m.e_amp
     return coeff * k
 
@@ -88,10 +80,9 @@ class Battery:
 
         Debits on a dead battery are no-ops. A node that cannot afford the
         full amount is drained to zero (and dies) but the action the debit
-        paid for still completes.
+        paid for still completes. ``amount`` is never negative: the engine
+        passes only ``direct_tx_energy`` and ``relay_rx_energy`` values.
         """
-        if amount < 0:
-            raise NegativeInputError(f"amount={amount}")
         remaining = self.initial - self.consumed   # residual, read once
         if remaining <= 0.0:
             return 0.0

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 METERS_PER_YARD = 0.9144
 
 
-class EmptySinkSetError(ValueError):
-    """A sink query ran against a field with no sinks configured."""
-
-
 @dataclass(frozen=True)
 class Point:
     x: float
@@ -29,7 +25,8 @@ class Point:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Pitch dimensions plus an ordered set of (sink_id, position) pairs."""
+    """Pitch dimensions plus an ordered set of (sink_id, position) pairs,
+    whose ids are unique because ``six_sinks`` and ``goal_sinks`` make them so."""
 
     length: float = 106.0
     width: float = 68.0
@@ -38,9 +35,6 @@ class FieldConfig:
     def __post_init__(self):
         if not (0 < self.length < math.inf and 0 < self.width < math.inf):
             raise ValueError("field dimensions must be in (0, inf)")
-        ids = [sid for sid, _ in self.sinks]
-        if len(ids) != len(set(ids)):
-            raise ValueError("sink ids must be unique")
 
     @classmethod
     def six_sinks(cls, length: float = 106.0, width: float = 68.0,
@@ -81,8 +75,6 @@ def nearest_sink_xy(x: float, y: float,
 
     The distance, in yards, is ``math.hypot(x - pos.x, y - pos.y)``.
     """
-    if not field.sinks:
-        raise EmptySinkSetError("field has no sinks")
     best_id, best_d, best_pos = None, math.inf, None
     for sid, pos in field.sinks:
         d = math.hypot(x - pos.x, y - pos.y)

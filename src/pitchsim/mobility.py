@@ -228,8 +228,6 @@ MAX_PLAYERS = 2 * len(_TEAM_TEMPLATE)
 
 def formation_offsets(n_players: int, field: FieldConfig) -> list[tuple[float, float]]:
     """Formation offsets for two mirrored teams of up to 12 players each."""
-    if not 1 <= n_players <= MAX_PLAYERS:
-        raise ValueError(f"n_players must be in [1, {MAX_PLAYERS}]")
     sx = field.length / 106.0
     sy = field.width / 68.0
     home = n_players - n_players // 2

@@ -1,4 +1,5 @@
 import csv
+import errno
 import math
 import os
 import sys
@@ -227,6 +228,39 @@ def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--scenario", "scenario.cfg", "--out", "blocker/x"], errno.ENOTDIR),
+    (["compare", "--scenario", "scenario.cfg", "--seeds", "0", "--out", "blocker"],
+     errno.EEXIST),
+    (["validate", "--scenario", "folder"], errno.EISDIR),
+], ids=["run-out-below-a-file", "compare-out-is-a-file", "validate-a-directory"])
+def test_unusable_path_exits_runtime_with_one_line(tmp_path, monkeypatch, capsys,
+                                                   argv, code):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, FAST)
+    (tmp_path / "blocker").write_text("kept\n")
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pitchsim: ")
+    assert os.strerror(code) in err[0] and "internal error" not in err[0]
+    assert sorted(tmp_path.rglob("*")) == before   # no report written anywhere
+    assert (tmp_path / "blocker").read_text() == "kept\n"
+
+
+def test_run_checks_its_out_dir_before_playing_the_match(tmp_path, monkeypatch, capsys):
+    played = []
+    monkeypatch.setattr(cli, "run_match", lambda *args, **kwargs: played.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["run", "--scenario", write(tmp_path, FAST),
+                 "--out", str(blocker / "x")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pitchsim: ")
+    assert played == []
 
 
 # one run's worst-case delay sum is finite, so the file validates; the

@@ -5,9 +5,7 @@ import struct
 from array import array
 from typing import NamedTuple
 
-import pytest
-
-from pitchsim.geometry import EmptySinkSetError, FieldConfig, Point, nearest_sink_xy
+from pitchsim.geometry import FieldConfig, Point, nearest_sink_xy
 from pitchsim.physiology import FatigueCause, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, NextHops, Route,
                                thefame_route, trigger_transmissions, wstm_route)
@@ -63,14 +61,6 @@ def test_thefame_route_is_single_hop_to_nearest():
     assert r.n_hops == 1
     assert r.hops[-1].dst_sink == 1
     assert r.hops[0].dist == 1.0
-
-
-def test_routes_reject_an_empty_sink_set():
-    lone = player(0, 1, 1)
-    with pytest.raises(EmptySinkSetError):
-        fame_route(lone, FieldConfig(106, 68, ()))
-    with pytest.raises(EmptySinkSetError):
-        wstm_route(0, table([lone], FieldConfig(106, 68, ())), max_hops=10)
 
 
 def test_thefame_route_coincident_sink():

@@ -11,12 +11,15 @@ library API that the README documents: six names imported from their
 modules, plus ``__version__``, so every other name has one import path.
 Each top-level function and class of the package is named by a module of
 the package, the scripts or the benchmark harness, so no definition is
-kept alive by tests alone.
+kept alive by tests alone. Every exception class the package defines is
+``ScenarioError`` or a subclass of it, so a package-defined error is
+always one that the CLI turns into exit 1.
 
 This file imports only the standard library, so it also runs without
 pytest, by calling each ``test_*`` function that ``runpy.run_path`` returns."""
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -146,6 +149,30 @@ def test_every_definition_is_named_by_a_program_module():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name not in named]
     assert not unnamed
+
+
+# Outside input is checked once, by the scenario: an error the package
+# defines is a ScenarioError, which the CLI turns into exit 1 and one line.
+def test_every_package_exception_is_a_scenario_error():
+    classes = {node.name: (path.name, [ast.unparse(base).split(".")[-1] for base in node.bases])
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.ClassDef)}
+
+    def bases(name):
+        return classes[name][1] if name in classes else []
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        return (isinstance(builtin, type) and issubclass(builtin, BaseException)
+                or any(map(is_exception, bases(name))))
+
+    def is_scenario_error(name):
+        return name == "ScenarioError" or any(map(is_scenario_error, bases(name)))
+
+    strays = [f"{module}: {name}" for name, (module, _) in classes.items()
+              if is_exception(name) and not is_scenario_error(name)]
+    assert not strays
 
 
 def test_project_declares_no_dependencies():
