@@ -157,6 +157,11 @@ CLI_PINS: tuple[tuple[str, str, str | None, str, tuple[str, ...]], ...] = (
     ("ONE_HOP_RUN_DIGEST",
      "8de6eefc3831679e0d3df693196b881022e5497720970c202abbd2da02cd5b2b",
      None, "rounds = 600\nwstm.max_hops = 1\n", ("compare", "--seeds", "0")),
+    # A zero walking speed: a walking player has no speed cap, so step_player
+    # leaves it where it stands, though it still draws its deviation.
+    ("ZERO_WALK_RUN_DIGEST",
+     "44a95974081c7d571f66d64ead0c53ce9fa52a64abaa1c63b37cf09945f41f13",
+     None, "rounds = 600\nmobility.v_walk = 0\n", ("compare", "--seeds", "0")),
 )
 
 # Recorded before simulate_mobility ran on a world: every player's final

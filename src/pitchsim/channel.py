@@ -24,6 +24,10 @@ SPEED_OF_LIGHT_YDS = 299_792_458.0 / METERS_PER_YARD
 
 @dataclass(frozen=True)
 class ChannelParams:
+    """The lossy channel: each hop is dropped with ``drop_probability``, and
+    a delivered packet's delay is, per hop, its bits over ``data_rate_bps``
+    (bit/s) plus the propagation time plus ``per_hop_processing_s`` seconds."""
+
     drop_probability: float = 0.30
     data_rate_bps: float = 250_000.0
     per_hop_processing_s: float = 0.005

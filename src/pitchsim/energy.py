@@ -27,6 +27,10 @@ FIRST_ORDER = "first-order"
 
 @dataclass(frozen=True)
 class RadioModel:
+    """Radio energy coefficients (``e_circuitry`` in J/bit, ``e_amp`` in
+    J/bit/yd^2), the packet size in bits, and ``form``, ``LUMPED`` or
+    ``FIRST_ORDER``, which picks the formula of both cost functions."""
+
     e_circuitry: float = 50e-9   # J/bit
     e_amp: float = 100e-12       # J/bit/yd^2
     packet_bits: int = 1024

@@ -93,6 +93,12 @@ WORLD_BLOCK = 100
 
 @dataclass(slots=True)
 class RoundRecord:
+    """One round's counters: its round number, the nodes alive at its end,
+    per-hop sends and drops, the packets that left their origin, the
+    packets received and their summed delay in seconds, routing failures,
+    triggered packets, and the residual energy of all batteries in joules
+    at its end."""
+
     round: int
     alive: int
     hop_sends: int = 0
@@ -123,6 +129,11 @@ class RunTotals(NamedTuple):
 
 @dataclass
 class MetricsLog:
+    """One match's log: the initial battery in joules, one ``RoundRecord``
+    per round (all-dead rows pad a match that stopped early), each death as
+    ``(player_id, round)``, and each player's debits in joules, in the order
+    they were applied."""
+
     initial_energy_j: float
     rounds: list[RoundRecord] = field(default_factory=list)
     deaths: list[tuple[int, int]] = field(default_factory=list)   # (player_id, round)
@@ -149,6 +160,11 @@ def add_counters(records) -> tuple:
 
 @dataclass
 class MatchResult:
+    """What one match returns: its scenario, its ``MetricsLog``, the fatigue
+    events its alive nodes sensed, its ``RunTotals``, the round at which its
+    last node died (None if it played every round), and the trajectory and
+    lactate rows of the rounds it played, if its world recorded them."""
+
     scenario: Scenario
     metrics: MetricsLog
     events: list[FatigueEvent]
@@ -216,7 +232,7 @@ class World:
         step_lactate(lactate, kins, self.scenario.lactate)
         events = self.monitor.check(lactate, kins, t)
         if self.record_trajectory:
-            self.trajectory.extend((k.player_id, t, k.x, k.y, k.mode.value) for k in kins)
+            self.trajectory.extend((k.player_id, t, k.x, k.y, k.mode) for k in kins)
         if self.record_lactate:
             self.lactate_trace.extend((k.player_id, t, level)
                                       for k, level in zip(kins, lactate))
@@ -396,8 +412,9 @@ class SprintEpisode(NamedTuple):
     truncated: bool = False   # cut off by the end of the run
 
 
-@dataclass
-class MobilityRun:
+class MobilityRun(NamedTuple):
+    """A value record: a world's players after its last round, and every
+    sprint episode it played, in the order they ended."""
     players: list[PlayerKinematics]
     sprints: list[SprintEpisode]
 
@@ -412,9 +429,9 @@ def simulate_mobility(scenario: Scenario) -> MobilityRun:
         world.advance()
         for k in world.kins:
             was_sprinting = k.player_id in open_since
-            if k.mode is SPRINT and not was_sprinting:
+            if k.mode == SPRINT and not was_sprinting:
                 open_since[k.player_id] = t
-            elif k.mode is not SPRINT and was_sprinting:
+            elif k.mode != SPRINT and was_sprinting:
                 start = open_since.pop(k.player_id)
                 sprints.append(SprintEpisode(k.player_id, start, t - start))
     for pid, start in sorted(open_since.items()):

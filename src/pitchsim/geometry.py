@@ -15,6 +15,8 @@ METERS_PER_YARD = 0.9144
 
 @dataclass(frozen=True)
 class Point:
+    """A position on or near the pitch, in yards; both coordinates finite."""
+
     x: float
     y: float
 

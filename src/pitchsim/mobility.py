@@ -16,7 +16,6 @@ positions yards, durations seconds, accumulated distance km.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from math import cos, hypot, inf, pi, sin, sqrt
@@ -29,19 +28,17 @@ KM_PER_YARD = METERS_PER_YARD / 1000.0
 TWO_PI = 2.0 * pi
 MATCH_SECONDS = 5400.0
 
-
-class SpeedMode(enum.Enum):
-    WALK = "walk"
-    RUN = "run"
-    SPRINT = "sprint"
-
-
-# module names: on 3.11 a SpeedMode.X read costs ~160 ns, a global ~10 ns
-WALK, RUN, SPRINT = SpeedMode.WALK, SpeedMode.RUN, SpeedMode.SPRINT
+WALK, RUN, SPRINT = "walk", "run", "sprint"   # a player's effort mode
 
 
 @dataclass(frozen=True)
 class MobilityParams:
+    """Movement and effort-schedule settings: mode speeds in km/h, sprint
+    lengths and episode means in seconds, sprints per full match, the
+    recovery as a multiple of the sprint's length, the deviation radius in
+    yards and the group reference's speed in km/h. It adds
+    ``sprint_hazard``, the per-second sprint onset probability."""
+
     v_run_min: float = 10.3
     v_run_max: float = 12.9
     v_sprint: float = 25.0
@@ -85,12 +82,18 @@ class MobilityParams:
 
 @dataclass(slots=True)
 class PlayerKinematics:
+    """One player's movement state, changed in place every second: its
+    position and formation offset in yards, its mode (``WALK``, ``RUN`` or
+    ``SPRINT``) with the seconds left in it and its speed in km/h, the
+    recovery flag, the current or last sprint's length in seconds, and the
+    distance covered in km."""
+
     player_id: int
     x: float
     y: float
     offset_x: float
     offset_y: float
-    mode: SpeedMode = WALK
+    mode: str = WALK
     mode_time_left: float = 0.0
     speed_kmh: float = 0.0
     recovering: bool = False        # in the walk after a sprint; blocks sprint onset
@@ -101,7 +104,7 @@ class PlayerKinematics:
 def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Random) -> None:
     # alternate walk and run; each run episode re-draws its own pace
     k.recovering = False
-    if k.mode is RUN:
+    if k.mode == RUN:
         k.mode = WALK
         k.speed_kmh = p.v_walk
         k.mode_time_left = rng.uniform(0.5, 1.5) * p.walk_episode_mean_s
@@ -112,12 +115,12 @@ def _begin_next_episode(k: PlayerKinematics, p: MobilityParams, rng: random.Rand
 
 
 def schedule_mode(k: PlayerKinematics, p: MobilityParams,
-                  rng: random.Random) -> SpeedMode:
+                  rng: random.Random) -> str:
     """Advance the effort schedule by one second and return the mode for
     this step; ``k.recovering`` blocks sprint onsets until the walk after a
     sprint, ``rest_multiple`` times its length, runs out."""
     mode = k.mode
-    if mode is SPRINT:
+    if mode == SPRINT:
         if k.mode_time_left <= 0.0:
             # sprint over: forced walking recovery, immune to new onsets
             mode = k.mode = WALK
@@ -127,7 +130,7 @@ def schedule_mode(k: PlayerKinematics, p: MobilityParams,
     elif k.mode_time_left <= 0.0:
         _begin_next_episode(k, p, rng)   # walk or run: ``mode`` stays not SPRINT
 
-    if mode is not SPRINT and not k.recovering:
+    if mode != SPRINT and not k.recovering:
         hazard = p.sprint_hazard
         if hazard > 0.0 and rng.random() < hazard:
             length = float(rng.randint(p.sprint_min_s, p.sprint_max_s))

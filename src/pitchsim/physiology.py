@@ -27,7 +27,6 @@ km for distance. Reports convert mmol/L to mg/dL with the 9.0 factor.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -36,6 +35,8 @@ from typing import NamedTuple
 from .mobility import MobilityParams, PlayerKinematics
 
 MGDL_PER_MMOL_L = 9.0
+
+LACTATE, DISTANCE = "lactate", "distance"   # the cause of a fatigue event
 
 
 def onset_alpha(l_base: float, l_threshold: float, v_peak: float, v_aerobic: float,
@@ -47,6 +48,10 @@ def onset_alpha(l_base: float, l_threshold: float, v_peak: float, v_aerobic: flo
 
 @dataclass(frozen=True)
 class FatigueThresholds:
+    """The composite trigger's thresholds: lactate in mmol/L, distance in
+    km, and the fraction of the lactate threshold below which the lactate
+    trigger re-arms."""
+
     lactate: float = 2.2         # mmol/L
     distance_km: float = 11.0
     hysteresis: float = 0.9      # lactate re-arm fraction of threshold
@@ -60,6 +65,11 @@ class FatigueThresholds:
 
 @dataclass(frozen=True)
 class LactateParams:
+    """The lactate law's settings: the baseline ``l_base`` in mmol/L, the
+    aerobic speed in km/h, the production rate ``alpha`` in mmol/L per
+    second per km/h above the aerobic speed, and the clearance rate
+    ``beta`` per second."""
+
     l_base: float = 1.0
     v_aerobic: float = 12.9
     # three minutes from baseline to the default trigger level at sprint speed
@@ -97,16 +107,11 @@ def step_lactate(levels: list[float], players: Sequence[PlayerKinematics],
         levels[i] = new if new > 0.0 else 0.0
 
 
-class FatigueCause(enum.Enum):
-    LACTATE = "lactate"
-    DISTANCE = "distance"
-
-
 class FatigueEvent(NamedTuple):
     """A value record: one trigger of one player's fatigue, at ``time``."""
     player_id: int
     time: float
-    cause: FatigueCause
+    cause: str
     value: float
 
 
@@ -136,9 +141,9 @@ class FatigueMonitor:
                 armed[i] = True
             if armed[i] and level >= threshold:
                 armed[i] = False
-                events.append(FatigueEvent(kin.player_id, t, FatigueCause.LACTATE, level))
+                events.append(FatigueEvent(kin.player_id, t, LACTATE, level))
             elif not distance_fired[i] and kin.cumulative_km >= distance_km:
                 distance_fired[i] = True
-                events.append(FatigueEvent(kin.player_id, t, FatigueCause.DISTANCE,
+                events.append(FatigueEvent(kin.player_id, t, DISTANCE,
                                            kin.cumulative_km))
         return events or None

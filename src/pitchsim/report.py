@@ -33,7 +33,7 @@ from operator import is_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import MatchResult, MetricsLog, RunTotals, add_counters
-from .physiology import MGDL_PER_MMOL_L, FatigueCause, FatigueEvent
+from .physiology import LACTATE, MGDL_PER_MMOL_L, FatigueEvent
 
 TIMESERIES_COLUMNS = ["round", "alive", "sent_cum", "dropped_cum",
                       "received_cum", "residual_total_J", "mean_delay_s"]
@@ -84,8 +84,8 @@ def write_timeseries(rows: Iterable[Sequence], path: str) -> str:
 
 def write_events(events: Sequence[FatigueEvent], path: str) -> str:
     return _write_csv(path, EVENT_COLUMNS, (
-        (ev.player_id, float(ev.time), ev.cause.value, ev.value,
-         ev.value * MGDL_PER_MMOL_L if ev.cause is FatigueCause.LACTATE else None)
+        (ev.player_id, float(ev.time), ev.cause, ev.value,
+         ev.value * MGDL_PER_MMOL_L if ev.cause == LACTATE else None)
         for ev in events))
 
 

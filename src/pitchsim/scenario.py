@@ -39,6 +39,12 @@ class ValidationError(ScenarioError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's whole configuration, as a scenario file sets it: the
+    protocol, the seed, the number of one-second rounds and of players, the
+    field in yards and its sink placement, each model's section, the
+    initial battery in joules, and wstm's hop budget and status period in
+    seconds. It checks every value, the report bounds included."""
+
     protocol: str = THEFAME
     seed: int = 0
     rounds: int = 5400

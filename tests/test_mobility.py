@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from pitchsim.engine import simulate_mobility
 from pitchsim.geometry import FieldConfig, Point
-from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, TWO_PI, GroupReference,
-                               MobilityParams, PlayerKinematics, SpeedMode,
+from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, RUN, SPRINT, TWO_PI, WALK,
+                               GroupReference, MobilityParams, PlayerKinematics,
                                formation_offsets, make_players, schedule_mode,
                                step_group_reference, step_player)
 from pitchsim.scenario import Scenario
@@ -20,7 +20,7 @@ FIELD = FieldConfig.six_sinks()
 PARAMS = MobilityParams()
 
 
-def kin(x=50.0, y=34.0, mode=SpeedMode.RUN, speed=12.0):
+def kin(x=50.0, y=34.0, mode=RUN, speed=12.0):
     k = PlayerKinematics(0, x, y, 0.0, 0.0)
     k.mode = mode
     k.speed_kmh = speed
@@ -35,7 +35,7 @@ def test_speed_conversion():
 
 def test_rest_does_not_move():
     # a player at zero speed, as walking is with mobility.v_walk = 0
-    k = kin(mode=SpeedMode.WALK, speed=0.0)
+    k = kin(mode=WALK, speed=0.0)
     before = (k.x, k.y, k.cumulative_km)
     step_player(k, Point(80.0, 10.0), FIELD, PARAMS, random.Random(1))
     assert (k.x, k.y, k.cumulative_km) == before
@@ -169,7 +169,7 @@ def test_zero_sprint_rate_never_sprints():
     rng = random.Random(0)
     k = kin()
     for _ in range(5000):
-        assert schedule_mode(k, params, rng) is not SpeedMode.SPRINT
+        assert schedule_mode(k, params, rng) != SPRINT
 
 
 def test_sprint_hazard_follows_the_params_it_was_built_from():
@@ -213,7 +213,7 @@ def test_recovery_walks_whole_seconds_before_the_next_onset(rest, modes):
     assert params.sprint_hazard > 1.0
     rng = random.Random(0)
     k = kin()
-    got = "".join(schedule_mode(k, params, rng).value[0] for _ in range(12))
+    got = "".join(schedule_mode(k, params, rng)[0] for _ in range(12))
     assert got == modes
 
 
@@ -231,16 +231,16 @@ def test_sprint_counts_near_expected():
 
 def test_run_speed_drawn_within_band():
     rng = random.Random(5)
-    k = kin(mode=SpeedMode.WALK, speed=PARAMS.v_walk)
+    k = kin(mode=WALK, speed=PARAMS.v_walk)
     seen = set()
     for _ in range(3000):
         mode = schedule_mode(k, PARAMS, rng)
-        if mode is SpeedMode.RUN:
+        if mode == RUN:
             assert PARAMS.v_run_min <= k.speed_kmh <= PARAMS.v_run_max
             seen.add(round(k.speed_kmh, 3))
-        elif mode is SpeedMode.SPRINT:
+        elif mode == SPRINT:
             assert k.speed_kmh == PARAMS.v_sprint
-        elif mode is SpeedMode.WALK:
+        elif mode == WALK:
             assert k.speed_kmh == PARAMS.v_walk
     assert len(seen) > 5  # per-episode redraws actually vary
 

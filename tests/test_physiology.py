@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pitchsim.mobility import PlayerKinematics
-from pitchsim.physiology import (FatigueCause, FatigueEvent, FatigueMonitor,
+from pitchsim.physiology import (DISTANCE, LACTATE, FatigueEvent, FatigueMonitor,
                                  FatigueThresholds, LactateParams, onset_alpha,
                                  step_lactate)
 
@@ -139,7 +139,7 @@ def fresh_monitor(**kwargs):
 def test_lactate_trigger_at_threshold():
     ev = fresh_monitor().check(2.2, 5.0, 100.0, 7)
     assert ev is not None
-    assert ev.cause is FatigueCause.LACTATE
+    assert ev.cause == LACTATE
     assert ev.value == 2.2
     assert ev.player_id == 7 and ev.time == 100.0
 
@@ -147,7 +147,7 @@ def test_lactate_trigger_at_threshold():
 def test_distance_trigger():
     ev = fresh_monitor().check(1.0, 11.0, 200.0, 3)
     assert ev is not None
-    assert ev.cause is FatigueCause.DISTANCE
+    assert ev.cause == DISTANCE
     assert ev.value == 11.0
 
 
@@ -157,19 +157,19 @@ def test_no_trigger_below_both():
 
 def test_lactate_checked_before_distance():
     ev = fresh_monitor().check(2.5, 12.0, 1.0, 0)
-    assert ev.cause is FatigueCause.LACTATE
+    assert ev.cause == LACTATE
 
 
 def test_lactate_hysteresis_cycle():
     mon = fresh_monitor()
-    assert mon.check(2.3, 0.0, 1.0, 0).cause is FatigueCause.LACTATE
+    assert mon.check(2.3, 0.0, 1.0, 0).cause == LACTATE
     # still above threshold: re-fire suppressed
     assert mon.check(2.4, 0.0, 2.0, 0) is None
     # above re-arm level but below threshold: still suppressed
     assert mon.check(2.0, 0.0, 3.0, 0) is None
     # below 0.9 * 2.2 = 1.98: re-arms, but no event at this sample
     assert mon.check(1.9, 0.0, 4.0, 0) is None
-    assert mon.check(2.2, 0.0, 5.0, 0).cause is FatigueCause.LACTATE
+    assert mon.check(2.2, 0.0, 5.0, 0).cause == LACTATE
 
 
 def test_no_two_lactate_events_without_subhysteresis_sample():
@@ -210,10 +210,10 @@ class ReferenceMonitor:
             self._lactate_armed = True
         if self._lactate_armed and lactate >= th.lactate:
             self._lactate_armed = False
-            return FatigueEvent(player_id, t, FatigueCause.LACTATE, lactate)
+            return FatigueEvent(player_id, t, LACTATE, lactate)
         if not self._distance_fired and cum_distance_km >= th.distance_km:
             self._distance_fired = True
-            return FatigueEvent(player_id, t, FatigueCause.DISTANCE, cum_distance_km)
+            return FatigueEvent(player_id, t, DISTANCE, cum_distance_km)
         return None
 
 

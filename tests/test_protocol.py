@@ -6,7 +6,7 @@ from array import array
 from typing import NamedTuple
 
 from pitchsim.geometry import FieldConfig, Point, nearest_sink_xy
-from pitchsim.physiology import FatigueCause, FatigueEvent
+from pitchsim.physiology import DISTANCE, LACTATE, FatigueEvent
 from pitchsim.protocol import (THEFAME, WSTM, Hop, NextHops, Route,
                                thefame_route, trigger_transmissions, wstm_route)
 from test_geometry import distance
@@ -367,8 +367,8 @@ def test_threshold_trigger_no_events_no_packets():
 
 
 def test_threshold_trigger_one_packet_per_event():
-    events = [FatigueEvent(0, 50.0, FatigueCause.LACTATE, 2.3),
-              FatigueEvent(4, 50.0, FatigueCause.DISTANCE, 11.0)]
+    events = [FatigueEvent(0, 50.0, LACTATE, 2.3),
+              FatigueEvent(4, 50.0, DISTANCE, 11.0)]
     assert trigger_transmissions(THEFAME, 10, 50, events, []) == [0, 4]
 
 

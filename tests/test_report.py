@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pitchsim import report
 from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, RunTotals, run_match
-from pitchsim.physiology import FatigueCause, FatigueEvent, FatigueThresholds, LactateParams
+from pitchsim.physiology import (DISTANCE, LACTATE, FatigueEvent, FatigueThresholds,
+                                 LactateParams)
 from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary, TIMESERIES_COLUMNS,
                              build_rows, emit_comparison_reports, summarize,
                              throughput_pct, write_events, write_summary,
@@ -156,8 +157,8 @@ def test_timeseries_blank_mean_delay_until_first_delivery(tmp_path):
 
 
 def test_events_csv_units(tmp_path):
-    events = [FatigueEvent(3, 100.0, FatigueCause.LACTATE, 2.2),
-              FatigueEvent(4, 200.0, FatigueCause.DISTANCE, 11.0)]
+    events = [FatigueEvent(3, 100.0, LACTATE, 2.2),
+              FatigueEvent(4, 200.0, DISTANCE, 11.0)]
     path = str(tmp_path / "events.csv")
     write_events(events, path)
     lines = open(path).read().splitlines()
@@ -192,13 +193,13 @@ def events_csvs(tmp_path, fame_events, wstm_events, monkeypatch):
     return [f.read_bytes() for f in files], len(rendered)
 
 
-LACTATE = FatigueEvent(3, 100.0, FatigueCause.LACTATE, 0.0)
-DISTANCE = FatigueEvent(4, 200.0, FatigueCause.DISTANCE, 11.0)
-EQUAL_LACTATE = LACTATE._replace(value=-0.0)
+LACTATE_EVENT = FatigueEvent(3, 100.0, LACTATE, 0.0)
+DISTANCE_EVENT = FatigueEvent(4, 200.0, DISTANCE, 11.0)
+EQUAL_LACTATE = LACTATE_EVENT._replace(value=-0.0)
 
 
 def test_pair_with_the_same_event_objects_renders_events_once(tmp_path, monkeypatch):
-    events = [LACTATE, DISTANCE]
+    events = [LACTATE_EVENT, DISTANCE_EVENT]
     (fame, wstm), rendered = events_csvs(tmp_path, events, list(events), monkeypatch)
     assert rendered == 1
     write_events(events, str(tmp_path / "alone.csv"))
@@ -206,15 +207,15 @@ def test_pair_with_the_same_event_objects_renders_events_once(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("wstm_events", [
-    [EQUAL_LACTATE, DISTANCE],                              # == but not the same objects
-    [LACTATE],                                              # a prefix
-    [LACTATE, DISTANCE, LACTATE],                           # longer
+    [EQUAL_LACTATE, DISTANCE_EVENT],                        # == but not the same objects
+    [LACTATE_EVENT],                                        # a prefix
+    [LACTATE_EVENT, DISTANCE_EVENT, LACTATE_EVENT],         # longer
     [],
 ], ids=["equal-not-identical", "prefix", "longer", "empty"])
 def test_pair_with_other_event_objects_renders_each_file(tmp_path, monkeypatch,
                                                          wstm_events):
-    assert EQUAL_LACTATE == LACTATE   # field-wise ==: 0.0 == -0.0
-    fame_events = [LACTATE, DISTANCE]
+    assert EQUAL_LACTATE == LACTATE_EVENT   # field-wise ==: 0.0 == -0.0
+    fame_events = [LACTATE_EVENT, DISTANCE_EVENT]
     (fame, wstm), rendered = events_csvs(tmp_path, fame_events, wstm_events, monkeypatch)
     assert rendered == 2
     for got, events in ((fame, fame_events), (wstm, wstm_events)):

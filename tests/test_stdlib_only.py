@@ -3,7 +3,9 @@ imports a third-party package, and the project declares no dependency.
 The scripts and the benchmark harness import only the standard library,
 pitchsim and the harness's own modules.
 No module uses the builtin ``sum()``, and no module imports a private
-(underscored) name from another. A frozen dataclass validates its fields
+(underscored) name from another, and no module imports ``enum``: a closed
+set of values, such as an effort mode or a fatigue cause, is a set of
+module string constants. A frozen dataclass validates its fields
 in ``__post_init__``; a frozen record that validates nothing is a
 ``typing.NamedTuple``, read as the tuple it is, so no module names
 ``dataclasses.astuple`` or ``asdict``. The package itself binds only the
@@ -87,6 +89,14 @@ def test_sources_import_no_private_names():
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert not private
+
+
+# One idiom per closed value set: a mode or a cause is a module string
+# constant, compared with ==, so an equal string from a library caller
+# behaves the same.
+def test_sources_import_no_enum():
+    enums = sorted(path.name for path in SOURCES if "enum" in _absolute_imports(path))
+    assert not enums
 
 
 def _is_frozen_dataclass(node: ast.AST) -> bool:
