@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Print movement-calibration statistics over a batch of seeds.
 
+    python3 scripts/calibrate_mobility.py --seeds 20 --rounds 5400
+
 Used to keep the default parameters honest: per-player match distance
 around 11 km and roughly 100 sprints of 2-5 s each with double-length
 recoveries.
@@ -9,9 +11,13 @@ recoveries.
 import argparse
 import statistics
 import sys
+from pathlib import Path
 
-from pitchsim.engine import simulate_mobility
-from pitchsim.scenario import Scenario, ScenarioError
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from pitchsim.engine import simulate_mobility  # noqa: E402
+from pitchsim.scenario import Scenario, ScenarioError  # noqa: E402
 
 
 def main(argv=None):

@@ -58,7 +58,7 @@ def relay_rx_energy(m: RadioModel, k: float) -> float:
     return coeff * k
 
 
-@dataclass
+@dataclass(slots=True)
 class Battery:
     """Per-node energy store. Tracks consumption so that
     ``residual == initial - consumed`` holds exactly at all times.

@@ -60,10 +60,10 @@ holder's route for the later origins; the next snapshot round, or a
 death in ``_debit``, drops the table. A round with no snapshot triggers
 nothing, so it skips the trigger.
 
-``move_players`` is the one movement loop, and ``World.advance`` its
-one caller. ``simulate_mobility`` plays a world with no match on it, for
-calibration and tests, and logs sprint episodes from each player's
-``PlayerKinematics.mode``.
+``move_players`` is the one movement loop. ``World.advance`` runs it
+before physiology; ``simulate_mobility`` runs it alone (physiology draws
+no random number), for calibration and tests, and logs sprint episodes
+from each player's ``PlayerKinematics.mode``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .channel import propagation_delay, transmit_hop
 from .energy import Battery, direct_tx_energy, relay_rx_energy
@@ -127,7 +127,7 @@ class RunTotals(NamedTuple):
     final_residual_j: float
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsLog:
     """One match's log: the initial battery in joules, one ``RoundRecord``
     per round (all-dead rows pad a match that stopped early), each death as
@@ -158,8 +158,7 @@ def add_counters(records) -> tuple:
     return sends, drops, origin_sends, received, failures, triggered, delay_sum
 
 
-@dataclass
-class MatchResult:
+class MatchResult(NamedTuple):
     """What one match returns: its scenario, its ``MetricsLog``, the fatigue
     events its alive nodes sensed, its ``RunTotals``, the round at which its
     last node died (None if it played every round), and the trajectory and
@@ -170,8 +169,8 @@ class MatchResult:
     events: list[FatigueEvent]
     totals: RunTotals
     early_stop_round: int | None = None
-    trajectory: list[tuple[int, int, float, float, str]] = field(default_factory=list)
-    lactate_trace: list[tuple[int, int, float]] = field(default_factory=list)
+    trajectory: Sequence[tuple[int, int, float, float, str]] = ()
+    lactate_trace: Sequence[tuple[int, int, float]] = ()
 
 
 class World:
@@ -371,9 +370,7 @@ class MatchSim:
         m = self.metrics
         rows = self.scenario.players * (early_stop or self.scenario.rounds)
         return MatchResult(
-            scenario=self.scenario,
-            metrics=m,
-            events=self.events,
+            scenario=self.scenario, metrics=m, events=self.events,
             totals=RunTotals(*add_counters(m.rounds), m.deaths[0][1] if m.deaths else None,
                              m.rounds[-1].residual_j),
             early_stop_round=early_stop,
@@ -420,13 +417,14 @@ class MobilityRun(NamedTuple):
 
 
 def simulate_mobility(scenario: Scenario) -> MobilityRun:
-    """Play the world of ``scenario`` with no match on it and log its
-    sprint episodes; used for calibration and tests."""
+    """Move the players of the world of ``scenario``, with no physiology
+    and no match, and log their sprint episodes; for calibration and tests."""
     world = World(scenario)
     open_since: dict[int, int] = {}
     sprints: list[SprintEpisode] = []
     for t in range(1, scenario.rounds + 1):
-        world.advance()
+        move_players(world.group, world.kins, world.field, scenario.mobility, world.mob_rng,
+                     world.sched_rng)
         for k in world.kins:
             was_sprinting = k.player_id in open_since
             if k.mode == SPRINT and not was_sprinting:

@@ -1,8 +1,13 @@
 """``scripts/check_goldens.py``: its ``main()`` in-process, its table of
-pins, and the script under every other CPython 3.10-3.13 found on PATH.
-One that is not found, cannot start, or is the running interpreter is
-skipped, and the skip reason names it."""
+pins, and the script under every other CPython 3.10-3.13 found on PATH,
+and under each interpreter path listed in ``PITCHSIM_PYTHONS``
+(separated by ``os.pathsep``). Interpreters are told apart by their
+resolved ``sys.executable``. One found on PATH that cannot start is
+skipped; a listed one that cannot start fails. One that is the running
+interpreter, or one already checked under another name, is skipped, and
+the skip reason names it."""
 
+import functools
 import os
 import re
 import shutil
@@ -15,6 +20,8 @@ import check_goldens as goldens
 
 SCRIPT = goldens.ROOT / "scripts" / "check_goldens.py"
 OTHERS = ("python3.10", "python3.11", "python3.12", "python3.13")
+LISTED = tuple(path for path in os.environ.get("PITCHSIM_PYTHONS", "").split(os.pathsep) if path)
+CANDIDATES = [(name, False) for name in OTHERS] + [(path, True) for path in LISTED]
 
 
 def _raises(out_dir):
@@ -45,18 +52,37 @@ def test_pin_presets_exist():
     assert not missing
 
 
-@pytest.mark.parametrize("name", OTHERS)
-def test_goldens_hold_under_another_interpreter(name):
-    path = shutil.which(name)
+@functools.cache
+def _executable(name: str, listed: bool) -> str | None:
+    """The resolved ``sys.executable`` of interpreter ``name`` (a path when
+    listed, else a name on PATH), or None if it is not found or does not
+    start."""
+    path = name if listed else shutil.which(name)
     if path is None:
-        pytest.skip(f"{name}: not found on PATH")
-    probe = subprocess.run([path, "-c", "import sys; print(sys.executable)"],
-                           capture_output=True, text=True, timeout=60)
-    if probe.returncode != 0:
-        pytest.skip(f"{name}: {path} does not start")
-    if os.path.realpath(probe.stdout.strip()) == os.path.realpath(sys.executable):
+        return None
+    try:
+        probe = subprocess.run([path, "-c", "import sys; print(sys.executable)"],
+                               capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    return os.path.realpath(probe.stdout.strip()) if probe.returncode == 0 else None
+
+
+@pytest.mark.parametrize("name, listed", CANDIDATES, ids=[name for name, _ in CANDIDATES])
+def test_goldens_hold_under_another_interpreter(name, listed):
+    executable = _executable(name, listed)
+    if executable is None:
+        if listed:
+            pytest.fail(f"{name}: listed in PITCHSIM_PYTHONS but does not start")
+        pytest.skip(f"{name}: not found on PATH or does not start")
+    if executable == os.path.realpath(sys.executable):
         pytest.skip(f"{name}: the interpreter running the tests")
-    proc = subprocess.run([path, str(SCRIPT)], capture_output=True, text=True, timeout=120)
+    first = next(other for other, other_listed in CANDIDATES
+                 if _executable(other, other_listed) == executable)
+    if first != name:
+        pytest.skip(f"{name}: the same interpreter as {first}")
+    proc = subprocess.run([executable, str(SCRIPT)], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     counts = re.search(r": (\d+) of (\d+) digests match$", proc.stdout)
     assert counts and counts[1] == counts[2], proc.stdout

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -295,6 +299,17 @@ def test_calibration_script_runs(capsys):
     assert lines[0] == "seeds=1 players=22 rounds=200"
     assert [line.split(":")[0] for line in lines[1:]] == [
         "distance km", "crossed 11 km", "sprints per player"]
+
+
+# From a plain checkout: no PYTHONPATH, and -S keeps an installed copy of
+# pitchsim in site-packages from hiding a script that cannot find src/.
+def test_calibration_script_runs_from_a_plain_checkout(tmp_path):
+    script = Path(calibrate_mobility.__file__).resolve()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", str(script), "--seeds", "1", "--rounds", "200"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "seeds=1 players=22 rounds=200"
 
 
 @pytest.mark.parametrize("argv, message", [

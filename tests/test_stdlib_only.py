@@ -8,8 +8,9 @@ set of values, such as an effort mode or a fatigue cause, is a set of
 module string constants. A frozen dataclass validates its fields
 in ``__post_init__``; a frozen record that validates nothing is a
 ``typing.NamedTuple``, read as the tuple it is, so no module names
-``dataclasses.astuple`` or ``asdict``. The package itself binds only the
-library API that the README documents: six names imported from their
+``dataclasses.astuple`` or ``asdict``. Every other dataclass holds
+mutable state and declares ``slots=True``. The package itself binds only
+the library API that the README documents: six names imported from their
 modules, plus ``__version__``, so every other name has one import path.
 Each top-level function and class of the package is named by a module of
 the package, the scripts or the benchmark harness, so no definition is
@@ -99,13 +100,17 @@ def test_sources_import_no_enum():
     assert not enums
 
 
-def _is_frozen_dataclass(node: ast.AST) -> bool:
-    return isinstance(node, ast.ClassDef) and any(
-        isinstance(dec, ast.Call)
-        and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "dataclass"
-        and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True
-                for kw in dec.keywords)
-        for dec in node.decorator_list)
+def _dataclass_flags(node: ast.AST) -> set[str] | None:
+    """The keywords set to True in ``node``'s ``@dataclass(...)``, or None
+    if ``node`` is not a dataclass."""
+    if not isinstance(node, ast.ClassDef):
+        return None
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return {kw.arg for kw in getattr(dec, "keywords", [])
+                    if getattr(kw.value, "value", False) is True}
+    return None
 
 
 # One idiom per kind of record: a frozen dataclass exists to validate, and a
@@ -114,12 +119,22 @@ def test_frozen_dataclasses_validate_and_no_module_copies_fields():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in SOURCES}
     unvalidated = [f"{name}: {node.name}" for name, tree in trees.items()
-                   for node in ast.walk(tree) if _is_frozen_dataclass(node)
+                   for node in ast.walk(tree) if "frozen" in (_dataclass_flags(node) or ())
                    and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
                                for item in node.body)]
     copies = [f"{name}:{node.lineno}" for name, tree in trees.items()
               for node in ast.walk(tree) if _names(node, {"astuple", "asdict"})]
     assert (unvalidated, copies) == ([], [])
+
+
+# One form per kind of record: a dataclass is either a validated setting
+# (frozen) or mutable state (slots), so no record takes a __dict__ by default.
+def test_every_dataclass_is_frozen_or_slotted():
+    loose = [f"{path.name}: {node.name}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if (flags := _dataclass_flags(node)) is not None
+             and not flags & {"frozen", "slots"}]
+    assert not loose
 
 
 # One import path per name: pitchsim.engine.NextHops, say, not also
