@@ -162,6 +162,12 @@ CLI_PINS: tuple[tuple[str, str, str | None, str, tuple[str, ...]], ...] = (
     ("ZERO_WALK_RUN_DIGEST",
      "44a95974081c7d571f66d64ead0c53ce9fa52a64abaa1c63b37cf09945f41f13",
      None, "rounds = 600\nmobility.v_walk = 0\n", ("compare", "--seeds", "0")),
+    # Recorded before any other pin reached it: with 5 mJ batteries a relay's
+    # own receive drains it mid-route, so MatchSim._send stops the packet there
+    # as a routing failure instead of forwarding it.
+    ("DRAINED_RELAY_RUN_DIGEST",
+     "e964f578ca19bb619a7f8d5b00c49c9ee28bd67a03fcec55ca14d13e83ad762d",
+     None, "rounds = 600\nenergy.initial_j = 0.005\n", ("compare", "--seeds", "1")),
 )
 
 # Recorded before simulate_mobility ran on a world: every player's final

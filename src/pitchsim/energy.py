@@ -67,10 +67,6 @@ class Battery:
     initial: float
     consumed: float = 0.0
 
-    def __post_init__(self):
-        if not 0 < self.initial < inf:
-            raise ValueError("initial energy must be in (0, inf)")
-
     @property
     def residual(self) -> float:
         return self.initial - self.consumed

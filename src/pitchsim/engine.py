@@ -83,12 +83,17 @@ from .physiology import FatigueEvent, FatigueMonitor, step_lactate
 from .protocol import (THEFAME, NextHops, thefame_route, trigger_transmissions,
                        wstm_route)
 from .scenario import Scenario
-from .seeding import stream
 
 # Most rounds a match plays its world ahead at a time. Long world and
 # protocol passes beat alternating ones every round; the measured saving
 # levels off near 100-200 rounds.
 WORLD_BLOCK = 100
+
+
+def stream(seed: int, name: str) -> random.Random:
+    """A reproducible generator for one subsystem of one run: one stream per
+    subsystem, so one subsystem's settings never change another's draws."""
+    return random.Random(f"{seed}:{name}")
 
 
 @dataclass(slots=True)

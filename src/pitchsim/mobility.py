@@ -65,19 +65,21 @@ class MobilityParams:
             raise ValueError("rest_multiple, deviation_radius, group_speed must be in [0, inf)")
         if not (0 < self.run_episode_mean_s < inf and 0 < self.walk_episode_mean_s < inf):
             raise ValueError("episode means must be in (0, inf)")
-        if self.sprints_per_match > 0 and self._eligible_seconds() <= 0:
-            raise ValueError("sprints_per_match does not fit in a match "
-                             "with the given durations and rest_multiple")
         # per-second sprint onset probability outside sprints and recoveries;
         # the scheduler reads it every player-second, so it is computed once
-        hazard = (0.0 if self.sprints_per_match <= 0
-                  else self.sprints_per_match / self._eligible_seconds())
+        hazard = 0.0
+        if self.sprints_per_match > 0:
+            try:
+                mean_sprint = (self.sprint_min_s + self.sprint_max_s) / 2.0
+            except OverflowError:   # a length too large for a float
+                raise ValueError("sprint duration range is invalid") from None
+            busy = self.sprints_per_match * mean_sprint * (1.0 + self.rest_multiple)
+            eligible = MATCH_SECONDS - busy
+            if eligible <= 0:
+                raise ValueError("sprints_per_match does not fit in a match "
+                                 "with the given durations and rest_multiple")
+            hazard = self.sprints_per_match / eligible
         object.__setattr__(self, "sprint_hazard", hazard)
-
-    def _eligible_seconds(self) -> float:
-        mean_sprint = (self.sprint_min_s + self.sprint_max_s) / 2.0
-        busy = self.sprints_per_match * mean_sprint * (1.0 + self.rest_multiple)
-        return MATCH_SECONDS - busy
 
 
 @dataclass(slots=True)
@@ -229,20 +231,15 @@ _TEAM_TEMPLATE = (
 MAX_PLAYERS = 2 * len(_TEAM_TEMPLATE)
 
 
-def formation_offsets(n_players: int, field: FieldConfig) -> list[tuple[float, float]]:
-    """Formation offsets for two mirrored teams of up to 12 players each."""
+def make_players(n_players: int, field: FieldConfig) -> list[PlayerKinematics]:
+    """Players placed at their formation slots around the pitch center: two
+    mirrored teams of up to 12 players each, the home side one larger if odd."""
     sx = field.length / 106.0
     sy = field.width / 68.0
-    home = n_players - n_players // 2
     away = n_players // 2
-    offsets = [(ox * sx, oy * sy) for ox, oy in _TEAM_TEMPLATE[:home]]
+    offsets = [(ox * sx, oy * sy) for ox, oy in _TEAM_TEMPLATE[:n_players - away]]
     offsets += [(-ox * sx, oy * sy) for ox, oy in _TEAM_TEMPLATE[:away]]
-    return offsets
-
-
-def make_players(n_players: int, field: FieldConfig) -> list[PlayerKinematics]:
-    """Players placed at their formation slots around the pitch center."""
     cx, cy = field.length / 2.0, field.width / 2.0
     return [PlayerKinematics(pid, cx + ox, cy + oy, ox, oy)
-            for pid, (ox, oy) in enumerate(formation_offsets(n_players, field))]
+            for pid, (ox, oy) in enumerate(offsets)]
 

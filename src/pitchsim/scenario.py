@@ -205,8 +205,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         try:
             parsed = cast(value)
         except ValueError:
+            expected = "a finite float" if cast is finite_float else cast.__name__
             raise ParseError(f"{source}:{lineno}: key {key!r} expects "
-                             f"{cast.__name__}, got {value!r}") from None
+                             f"{expected}, got {value!r}") from None
         if section is None:
             top[attr] = parsed
         else:
@@ -214,16 +215,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
 
     try:
         for name, cls in _SECTION_TYPES.items():
-            if sections[name]:
-                top[name] = cls(**sections[name])
+            top[name] = cls(**sections[name])
         return Scenario(**top)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
 
 def parse_scenario(path: str) -> Scenario:
-    """Read and validate a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and validate a scenario file, UTF-8 with or without a BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -22,12 +22,11 @@ from hypothesis import given, settings, strategies as st
 from pitchsim.channel import ChannelParams, transmit_hop
 from pitchsim.cli import _paired_runs, main as cli_main
 from pitchsim.energy import Battery, RadioModel, direct_tx_energy, relay_rx_energy
-from pitchsim.engine import run_match, simulate_mobility
+from pitchsim.engine import run_match, simulate_mobility, stream
 from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import MobilityParams
 from pitchsim.report import summarize, throughput_pct
 from pitchsim.scenario import Scenario, parse_scenario
-from pitchsim.seeding import stream
 
 import workloads  # the benchmark's output check
 from test_geometry import distance

@@ -214,8 +214,9 @@ def test_compare_bad_seed_writes_nothing(tmp_path, capsys):
     b"per_hop_processing = 1e308\nprotocol = wstm\ndrop_probability = 0\n",
     b"lactate.alpha = 1e308\n",
     b"energy.initial_j = 1e307\n",
+    b"mobility.sprint_max_s = 1" + b"0" * 400 + b"\n",   # no float holds the mean sprint
 ], ids=["huge-field", "huge-field-wstm", "not-utf8", "huge-delay", "huge-lactate",
-        "huge-battery"])
+        "huge-battery", "huge-sprint"])
 def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
                                                          command, text):
     path = tmp_path / "scenario.cfg"
@@ -228,6 +229,14 @@ def test_bad_scenario_file_exits_invalid_writing_nothing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("pitchsim: invalid scenario: ")
     assert not out.exists()
+
+
+def test_huge_sprint_length_without_sprints_is_valid(tmp_path):
+    # with no sprints the hazard is 0 and the sprint lengths are never averaged
+    path = write(tmp_path, FAST + "mobility.sprints_per_match = 0\n"
+                 "mobility.sprint_max_s = 1" + "0" * 400 + "\n")
+    assert main(["validate", "--scenario", path]) == EXIT_OK
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -14,8 +14,8 @@ from pitchsim.engine import simulate_mobility
 from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import (KMH_TO_YDS, KM_PER_YARD, RUN, SPRINT, TWO_PI, WALK,
                                GroupReference, MobilityParams, PlayerKinematics,
-                               formation_offsets, make_players, schedule_mode,
-                               step_group_reference, step_player)
+                               make_players, schedule_mode, step_group_reference,
+                               step_player)
 from pitchsim.scenario import Scenario
 
 import calibrate_mobility
@@ -266,10 +266,10 @@ def test_full_match_distance_band():
 
 
 def test_formation_offsets_shape():
-    offs = formation_offsets(22, FIELD)
+    offs = [(k.offset_x, k.offset_y) for k in make_players(22, FIELD)]
     assert len(offs) == 22
     assert len(set(offs)) == 22
-    offs24 = formation_offsets(24, FIELD)
+    offs24 = [(k.offset_x, k.offset_y) for k in make_players(24, FIELD)]
     assert len(offs24) == 24
 
 

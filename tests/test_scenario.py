@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from pitchsim.channel import ChannelParams
-from pitchsim.cli import EXIT_INVALID, main
-from pitchsim.energy import Battery, RadioModel
+from pitchsim.cli import EXIT_INVALID, EXIT_OK, main
+from pitchsim.energy import RadioModel
 from pitchsim.engine import World, run_match
 from pitchsim.geometry import FieldConfig, Point
 from pitchsim.mobility import MobilityParams
@@ -111,6 +111,7 @@ def test_non_finite_float_rejected(line, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_scenario_text(text, source="case.cfg")
     assert "case.cfg:2" in str(err.value) and key in str(err.value)
+    assert "expects a finite float" in str(err.value)
     path = tmp_path / "case.cfg"
     path.write_text(text)
     assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
@@ -164,7 +165,6 @@ NON_FINITE_PROBES = [
     (ChannelParams, "per_hop_processing_s", nan), (ChannelParams, "data_rate_bps", inf),
     (MobilityParams, "deviation_radius", nan), (MobilityParams, "group_speed_kmh", inf),
     (MobilityParams, "v_sprint", inf), (MobilityParams, "run_episode_mean_s", inf),
-    (Battery, "initial", nan), (Battery, "initial", inf),
     (FieldConfig, "length", inf),
 ]
 
@@ -351,6 +351,18 @@ def test_parse_file_and_seed_override(tmp_path):
     assert (s.protocol, s.seed, s.rounds) == ("wstm", 3, 100)
     assert s.with_seed(9).seed == 9
     assert s.with_protocol("thefame").protocol == "thefame"
+
+
+def test_byte_order_mark_is_accepted_and_latin1_refused(tmp_path, capsys):
+    preset = SCENARIOS / "high-rate.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + preset.read_bytes())
+    assert parse_scenario(str(bom)) == parse_scenario(str(preset))
+    assert main(["validate", "--scenario", str(bom)]) == EXIT_OK
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1") + preset.read_bytes())
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        parse_scenario(str(latin1))
 
 
 def test_every_documented_key_parses():
