@@ -2,7 +2,8 @@
 
 Three files per run: ``timeseries.csv`` (one row per round, cumulative
 counters), ``events.csv`` (the fatigue log), and ``summary.csv``
-(per-protocol totals plus a delta row for paired comparisons).
+(per-protocol totals plus a delta row for paired comparisons), plus
+``trajectory.csv`` and ``lactate.csv`` when the world recorded them.
 Summaries pool per-run tallies (``MatchResult.totals``), never round
 logs, so a comparison writes each pair's run reports as the pair arrives
 and keeps only its tallies and the paths it wrote. Its memory still
@@ -15,9 +16,15 @@ send counted as a transmission, while ``delivery_pct`` is end-to-end
 (packets reaching a sink over packets that left their origin). For a
 single-hop protocol the two coincide.
 
-CSV conventions are the csv module's, with LF line endings: RFC 4180
-quoting, ``.`` decimal separator, ``None`` as a blank cell and floats
-via ``repr``, so parsing a file back reproduces the values exactly.
+One writer, ``_write_csv``, renders every file: cells joined by ``,``,
+LF line endings, ``.`` decimal separator, ``None`` as a blank cell and
+every other cell as its ``str``, which for a float is its ``repr``, so
+parsing a file back reproduces the values exactly. No cell needs
+quoting: each is an int, a float, blank, or a word from a closed set (the
+column names, the protocol names, ``delta``, the fatigue causes and the
+effort modes), and none of those holds a comma, a double quote, CR or LF.
+So the bytes are the ones the csv module writes with RFC 4180 quoting.
+The writer streams line by line and never holds a file whole.
 Each value's text is rendered once: ``build_rows`` streams float cells as
 ``repr`` text, and a pair with the same event objects copies events.csv.
 Undefined ratios are ``None`` and so blank, never 0 or 100;
@@ -26,9 +33,9 @@ Undefined ratios are ``None`` and so blank, never 0 or 100;
 
 from __future__ import annotations
 
-import csv
 import os
 import shutil
+from itertools import chain
 from operator import is_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -42,6 +49,8 @@ SUMMARY_COLUMNS = ["protocol", "runs", "stability_period", "throughput_pct",
                    "received", "dropped", "routing_failed", "final_residual_J"]
 EVENT_COLUMNS = ["player_id", "time_s", "cause", "value", "value_mgdl"]
 PAIR_COLUMNS = ["seed", SUMMARY_COLUMNS[0], *SUMMARY_COLUMNS[2:]]
+TRAJECTORY_COLUMNS = ["player_id", "t", "x", "y", "mode"]
+LACTATE_COLUMNS = ["player_id", "t", "lactate_mmol_l"]
 
 
 def throughput_pct(received: int, transmitted: int) -> Optional[float]:
@@ -71,10 +80,15 @@ def build_rows(log: MetricsLog) -> Iterator[tuple]:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write ``header`` and ``rows`` one line at a time: cells joined by
+    ``,``, None as a blank cell and every other cell as its ``str``. Every
+    row has the header's width, so one ``%s`` line renders each; a row
+    without None, which is most of them, goes to it as it is."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
+        fh.writelines(line % (tuple(["" if c is None else c for c in row]) if None in row
+                              else tuple(row))
+                      for row in chain((header,), rows))
     return path
 
 
@@ -158,7 +172,8 @@ def write_pairs(rows: Sequence[tuple[int, ProtocolSummary]], path: str) -> str:
 
 def emit_run_reports(result: MatchResult, out_dir: str,
                      events_csv: Optional[str] = None) -> list[str]:
-    """Write timeseries, events, and a one-row summary for a single run.
+    """Write timeseries, events, and a one-row summary for a single run,
+    plus trajectory.csv and lactate.csv when the world recorded them.
     events.csv is a copy of ``events_csv`` when given."""
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.csv")
@@ -172,12 +187,10 @@ def emit_run_reports(result: MatchResult, out_dir: str,
     ]
     if result.trajectory:
         paths.append(_write_csv(
-            os.path.join(out_dir, "trajectory.csv"),
-            ["player_id", "t", "x", "y", "mode"], result.trajectory))
+            os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS, result.trajectory))
     if result.lactate_trace:
         paths.append(_write_csv(
-            os.path.join(out_dir, "lactate.csv"),
-            ["player_id", "t", "lactate_mmol_l"], result.lactate_trace))
+            os.path.join(out_dir, "lactate.csv"), LACTATE_COLUMNS, result.lactate_trace))
     return paths
 
 

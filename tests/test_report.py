@@ -1,15 +1,23 @@
 import csv
+import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pitchsim import report
+from pitchsim.cli import EXIT_OK, main
 from pitchsim.engine import MatchResult, MetricsLog, RoundRecord, RunTotals, run_match
+from pitchsim.mobility import RUN, SPRINT, WALK
 from pitchsim.physiology import (DISTANCE, LACTATE, FatigueEvent, FatigueThresholds,
                                  LactateParams)
-from pitchsim.report import (SUMMARY_COLUMNS, ProtocolSummary, TIMESERIES_COLUMNS,
-                             build_rows, emit_comparison_reports, summarize,
-                             throughput_pct, write_events, write_summary,
+from pitchsim.protocol import THEFAME, WSTM
+from pitchsim.report import (EVENT_COLUMNS, LACTATE_COLUMNS, PAIR_COLUMNS,
+                             SUMMARY_COLUMNS, ProtocolSummary, TIMESERIES_COLUMNS,
+                             TRAJECTORY_COLUMNS, build_rows, emit_comparison_reports,
+                             summarize, throughput_pct, write_events, write_summary,
                              write_timeseries)
 from pitchsim.scenario import Scenario
 
@@ -66,7 +74,7 @@ def test_rows_are_cumulative_and_consistent():
 
 def reference_rows(log):
     """The timeseries rows with float cells as floats, each computed for
-    its own round: the values the csv module renders with ``repr``."""
+    its own round: the values the report renders with ``repr``."""
     sent = dropped = received = 0
     delay_sum = 0.0
     for rec in log.rounds:
@@ -78,12 +86,14 @@ def reference_rows(log):
                delay_sum / received if received else None)
 
 
-def reference_bytes(log, path):
-    """The reference rows written through ``csv`` as the report writes."""
+def csv_module_bytes(header, rows, path):
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows`` with LF
+    line endings: the reference that every report file must match, byte
+    for byte, though the report writer does not use the csv module."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(TIMESERIES_COLUMNS)
-        out.writerows(reference_rows(log))
+        out.writerow(header)
+        out.writerows(rows)
     return path.read_bytes()
 
 
@@ -117,7 +127,95 @@ def test_timeseries_text_cells_give_the_float_rows_bytes(tmp_path_factory, log):
     tmp = tmp_path_factory.mktemp("ts")
     path = tmp / "timeseries.csv"
     write_timeseries(build_rows(log), str(path))
-    assert path.read_bytes() == reference_bytes(log, tmp / "reference.csv")
+    assert path.read_bytes() == csv_module_bytes(TIMESERIES_COLUMNS, reference_rows(log),
+                                                 tmp / "reference.csv")
+
+
+# Every word a report cell may hold: the column names, the protocol names,
+# the delta row's label, the fatigue causes and the effort modes.
+REPORT_WORDS = frozenset({
+    *TIMESERIES_COLUMNS, *SUMMARY_COLUMNS, *EVENT_COLUMNS, *PAIR_COLUMNS,
+    *TRAJECTORY_COLUMNS, *LACTATE_COLUMNS, THEFAME, WSTM, "delta",
+    LACTATE, DISTANCE, WALK, RUN, SPRINT})
+report_words = st.sampled_from(sorted(REPORT_WORDS))
+report_cells = st.one_of(
+    st.none(), report_words,
+    st.integers(-2**70, 2**70), st.sampled_from([-1, 2**63, 2**64 + 7]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                     1.7e308]))
+
+
+@st.composite
+def report_tables(draw):
+    """A header of 3 to 12 words and rows of report cells as wide as it,
+    as tuples or lists."""
+    width = draw(st.integers(3, 12))
+    header = draw(st.lists(report_words, min_size=width, max_size=width))
+    row = st.lists(report_cells, min_size=width, max_size=width)
+    return header, draw(st.lists(row | row.map(tuple), max_size=20))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(report_tables())
+def test_the_writer_gives_the_csv_module_bytes(tmp_path_factory, table):
+    """Every report file comes from ``_write_csv``; on any rows of report
+    cells it writes what ``csv.writer`` writes."""
+    header, rows = table
+    tmp = tmp_path_factory.mktemp("rows")
+    path = tmp / "report.csv"
+    report._write_csv(str(path), header, rows)
+    assert path.read_bytes() == csv_module_bytes(header, rows, tmp / "reference.csv")
+
+
+def is_report_cell(cell):
+    """An int, a float as its ``repr``, a blank or one of ``REPORT_WORDS``."""
+    if cell == "" or cell in REPORT_WORDS or re.fullmatch(r"-?[0-9]+", cell):
+        return True
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return False
+
+
+def test_no_report_cell_needs_quoting(tmp_path):
+    """The writer quotes nothing, so every cell of every file must be one
+    the csv module would not quote either: checked on a recorded run with
+    both dumps and on a compare in which nodes die."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    cut = tmp_path / "high-rate-200.cfg"
+    cut.write_text((scenarios / "high-rate.cfg").read_text() + "rounds = 200\n")
+    assert main(["run", "--scenario", str(cut), "--out", str(tmp_path / "run"),
+                 "--dump-trajectory", "--dump-lactate"]) == EXIT_OK
+    assert main(["compare", "--scenario", str(scenarios / "default.cfg"),
+                 "--seeds", "0..1", "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    files = sorted(tmp_path.glob("*/**/*.csv"))
+    names = {f.name for f in files}
+    assert {"trajectory.csv", "lactate.csv", "events.csv", "pairs.csv"} <= names
+    for f in files:
+        header, *lines = f.read_text(encoding="utf-8").splitlines()
+        width = len(header.split(","))
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == width, (f, line)
+            assert all(map(is_report_cell, cells)), (f, line)
+        with open(f, newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        assert f.read_bytes() == csv_module_bytes(parsed[0], parsed[1:], tmp_path / "ref.csv")
+
+
+def test_the_writer_streams_its_rows(tmp_path):
+    """Writing about 50,000 rows allocates no more than a small fixed
+    amount at once: the file is never held whole in memory."""
+    rows = ((i, 22, 3 * i, i, 2 * i, repr(i / 7), None) for i in range(50_000))
+    tracemalloc.start()
+    try:
+        report._write_csv(str(tmp_path / "big.csv"), TIMESERIES_COLUMNS, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 2_000_000
+    assert peak < 1_000_000
 
 
 def read_back(path):
